@@ -2,17 +2,22 @@
 
 Every benchmark regenerates one of the paper's tables or figures with a
 reduced-but-representative budget (single-digit minutes for the whole suite on
-a laptop), prints the reproduced numbers and writes them to
+a laptop), prints the reproduced numbers and, on a record run, writes them to
 ``benchmarks/results/<experiment>.txt`` so ``bench_output.txt`` plus that
 directory together document the reproduction.
 
-Alongside each ``.txt``, every benchmark writes a machine-readable
+Alongside each ``.txt``, every benchmark produces a machine-readable
 ``benchmarks/results/BENCH_<name>.json`` (wall clock, backend, grid shape,
 cells and cells/sec where the test provides them) via the autouse
 :func:`bench_json` fixture, so the performance trajectory is tracked between
 PRs; ``benchmarks/check_benchmark_regression.py`` compares these against the
 committed baselines in ``benchmarks/baselines/`` and CI fails on a >25 %
 cells/sec regression of the batched backends.
+
+Every write under ``benchmarks/results/`` goes through :func:`write_result`,
+which writes only when ``BENCH_RECORD=1`` is exported.  A plain test run
+therefore leaves the tracked records as committed; a record run (CI's
+benchmark step, or a deliberate local refresh) rewrites them.
 
 The budgets live here so they can be tightened or relaxed in one place:
 
@@ -44,6 +49,15 @@ from repro.experiments.reporting import format_result
 from repro.experiments.runner import ExperimentResult
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def write_result(filename: str, text: str) -> None:
+    """Write ``results/<filename>``, but only on a ``BENCH_RECORD=1`` run."""
+    if os.environ.get("BENCH_RECORD", "") != "1":
+        return
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    (RESULTS_DIR / filename).write_text(text, encoding="utf-8")
+
 
 #: Budget for fully connected experiments (slotted simulator).
 BENCH_CONNECTED = ExperimentConfig(
@@ -80,6 +94,12 @@ def bench_config_hidden() -> ExperimentConfig:
     return BENCH_HIDDEN
 
 
+@pytest.fixture(scope="session")
+def result_writer():
+    """:func:`write_result`, for benchmarks that write their own files."""
+    return write_result
+
+
 def _bench_name(request) -> str:
     """``benchmarks/test_fig6_hidden_r16.py`` -> ``fig6_hidden_r16``.
 
@@ -107,7 +127,7 @@ def _bench_name(request) -> str:
 
 @pytest.fixture(autouse=True)
 def bench_json(request):
-    """Write ``results/BENCH_<name>.json`` for every benchmark test.
+    """Record ``results/BENCH_<name>.json`` for every benchmark test.
 
     The fixture yields a mutable mapping; tests may fill ``backend``,
     ``grid_shape``, ``cells`` and free-form ``extra`` fields (the speedup
@@ -164,26 +184,22 @@ def bench_json(request):
         payload["cells_per_s"] = round(meta["cells"] / wall, 3)
     if meta["extra"]:
         payload.update(meta["extra"])
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{_bench_name(request)}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_result(f"BENCH_{_bench_name(request)}.json",
+                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture
 def record_result(bench_json):
-    """Print an experiment result and persist it under benchmarks/results/.
+    """Print an experiment result and record it under benchmarks/results/.
 
     Also annotates the test's ``BENCH_<name>.json`` with the result's grid
     shape so the machine-readable record identifies what was measured.
     """
 
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-
     def _record(result: ExperimentResult, filename: str) -> ExperimentResult:
         text = format_result(result)
         print("\n" + text + "\n")
-        (RESULTS_DIR / filename).write_text(text + "\n", encoding="utf-8")
+        write_result(filename, text + "\n")
         bench_json["grid_shape"] = [len(result.rows), len(result.columns)]
         bench_json["extra"].setdefault("experiment", filename.rsplit(".", 1)[0])
         return result

@@ -4,8 +4,9 @@ The batched backend's reason to exist is campaign-scale throughput: one
 vectorized call sweeps a whole (scheme x N x seed) column at interpreter
 cost shared across cells.  This benchmark runs the Figure 3 grid through
 both backends with ``jobs=1``, checks that the per-(scheme, N) seed-averaged
-throughputs agree statistically, asserts a wall-clock speedup, and records
-the measured numbers under ``benchmarks/results/batched_speedup.txt``
+throughputs agree statistically, asserts a wall-clock speedup, and on a
+``BENCH_RECORD=1`` run records the measured numbers under
+``benchmarks/results/batched_speedup.txt``
 (the committed note in ``benchmarks/BATCHED_SPEEDUP.md`` quotes a
 representative run).
 
@@ -17,7 +18,6 @@ the suite; the recorded number documents the actual figure.
 """
 
 import os
-import pathlib
 import time
 
 import pytest
@@ -25,15 +25,13 @@ import pytest
 from repro.experiments.campaign import CampaignExecutor
 from repro.experiments.fig3 import run_fig3
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 #: Conservative CI floor; the recorded speedup on an idle machine is >5x.
 MIN_SPEEDUP = 2.0
 
 
 @pytest.mark.benchmark(group="batched-speedup")
 def test_batched_backend_speedup_on_fig3_grid(benchmark, bench_config_connected,
-                                              bench_json):
+                                              bench_json, result_writer):
     # Eight seeds widen the per-scheme groups enough to show the campaign-
     # scale speedup; the slightly reduced budgets keep the slotted reference
     # run (the slow side of the comparison) affordable in CI.
@@ -64,9 +62,7 @@ def test_batched_backend_speedup_on_fig3_grid(benchmark, bench_config_connected,
     ]
     text = "\n".join(lines)
     print("\n" + text + "\n")
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "batched_speedup.txt").write_text(text + "\n",
-                                                     encoding="utf-8")
+    result_writer("batched_speedup.txt", text + "\n")
 
     cells = 4 * len(config.node_counts) * len(config.seeds)
     bench_json["backend"] = "batched"

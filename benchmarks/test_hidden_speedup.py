@@ -7,8 +7,8 @@ Figure 7 (disc radius 20) grids as *one* campaign — exactly how
 ``python -m repro.experiments fig6 fig7`` plans them — through both
 backends with ``jobs=1``, checks that the per-(scheme, N, radius)
 seed-averaged throughputs agree statistically, asserts a wall-clock
-speedup, and records the measured numbers under
-``benchmarks/results/hidden_speedup.txt`` and
+speedup, and on a ``BENCH_RECORD=1`` run records the measured numbers
+under ``benchmarks/results/hidden_speedup.txt`` and
 ``benchmarks/results/BENCH_hidden_speedup.json`` (the committed note in
 ``benchmarks/BATCHED_SPEEDUP.md`` quotes a representative run).
 
@@ -20,7 +20,6 @@ off-CI; the recorded number documents the actual figure.
 """
 
 import os
-import pathlib
 import time
 
 import pytest
@@ -32,8 +31,6 @@ from repro.experiments.runner import (
     hidden_task,
     paper_scheme_specs,
 )
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Conservative CI floor; the recorded speedup on an idle machine is >4x.
 MIN_SPEEDUP = 2.0
@@ -73,7 +70,8 @@ def _fig6_fig7_tasks(config):
 
 
 @pytest.mark.benchmark(group="hidden-speedup")
-def test_conflict_backend_speedup_on_fig6_fig7_grids(benchmark, bench_json):
+def test_conflict_backend_speedup_on_fig6_fig7_grids(benchmark, bench_json,
+                                                  result_writer):
     config = SPEEDUP_CONFIG
     tasks, keys = _fig6_fig7_tasks(config)
 
@@ -103,9 +101,7 @@ def test_conflict_backend_speedup_on_fig6_fig7_grids(benchmark, bench_json):
     ]
     text = "\n".join(lines)
     print("\n" + text + "\n")
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "hidden_speedup.txt").write_text(text + "\n",
-                                                    encoding="utf-8")
+    result_writer("hidden_speedup.txt", text + "\n")
     bench_json["backend"] = "batched:conflict-matrix"
     bench_json["grid_shape"] = [2, len(config.node_counts), 4,
                                 len(config.seeds)]

@@ -274,9 +274,13 @@ class BatchedStationIdleSenseBank(BatchedPolicyBank):
     only the transmissions of its sensing set, so windows, idle-run sums and
     AIMD epochs diverge per station — exactly like the scalar
     :class:`~repro.mac.idlesense.IdleSenseBackoff` objects the event-driven
-    simulator drives.  The conflict-graph simulator feeds observations
-    through :meth:`observe_station_transmissions` with explicit (cell,
-    station) index arrays.
+    simulator drives.
+
+    The state lives in ``(cells, S)`` arrays that are also addressed through
+    1-D views: the conflict-graph simulator feeds observations through
+    :meth:`observe_stations` with flat indices ``cell * S + station``, since
+    a one-index gather or scatter costs a fraction of a two-index one at
+    batch widths.
     """
 
     observes_channel = True
@@ -301,44 +305,50 @@ class BatchedStationIdleSenseBank(BatchedPolicyBank):
         self._alpha = float(alpha)
         self._maxtrans = int(maxtrans)
         self._max_window = float(max_window)
+        self._stride = int(max_stations)
         shape = (num_cells, max_stations)
         self._window = np.full(shape, self._cw_min, dtype=np.float64)
         self._sum_idle = np.zeros(shape, dtype=np.float64)
         self._ntrans = np.zeros(shape, dtype=np.int64)
         self._total_idle = np.zeros(shape, dtype=np.int64)
         self._total_trans = np.zeros(shape, dtype=np.int64)
+        self._window_f = self._window.reshape(-1)
+        self._sum_idle_f = self._sum_idle.reshape(-1)
+        self._ntrans_f = self._ntrans.reshape(-1)
+        self._total_idle_f = self._total_idle.reshape(-1)
+        self._total_trans_f = self._total_trans.reshape(-1)
 
-    def observe_station_transmissions(self, cells: np.ndarray,
-                                      stations: np.ndarray,
-                                      idle_slots: np.ndarray) -> None:
-        """Record one observed transmission per (cell, station) pair.
+    def observe_stations(self, flat: np.ndarray,
+                         idle_slots: np.ndarray) -> None:
+        """Record one observed transmission per flat station index.
 
-        ``idle_slots[k]`` is the number of backoff slots station
-        ``stations[k]`` of cell ``cells[k]`` counted down since the last
-        transmission it observed.  Index pairs are unique per call (a
-        station observes at most one channel onset per simulator event).
+        ``flat[k]`` names station ``flat[k] % S`` of cell ``flat[k] // S``;
+        ``idle_slots[k]`` is the number of backoff slots it counted down
+        since the last transmission it observed.  Indices are unique per
+        call (a station observes at most one channel onset per simulator
+        event), and each station's state is touched only through its own
+        index, so one call may carry observations of unrelated stations.
         """
-        self._sum_idle[cells, stations] += idle_slots
-        self._total_idle[cells, stations] += idle_slots
-        self._total_trans[cells, stations] += 1
-        self._ntrans[cells, stations] += 1
-        due = self._ntrans[cells, stations] >= self._maxtrans
-        if np.any(due):
-            dc, ds = cells[due], stations[due]
-            avg_idle = self._sum_idle[dc, ds] / self._ntrans[dc, ds]
-            window = np.where(
-                avg_idle < self._target,
-                self._window[dc, ds] + self._epsilon,
-                self._window[dc, ds] * self._alpha,
-            )
-            self._window[dc, ds] = np.clip(window, self._cw_min,
-                                           self._max_window)
-            self._sum_idle[dc, ds] = 0.0
-            self._ntrans[dc, ds] = 0
+        self._sum_idle_f[flat] += idle_slots
+        self._total_idle_f[flat] += idle_slots
+        self._total_trans_f[flat] += 1
+        ntrans = self._ntrans_f[flat] + 1
+        self._ntrans_f[flat] = ntrans
+        due = ntrans >= self._maxtrans
+        if np.count_nonzero(due):
+            df = flat[due]
+            avg_idle = self._sum_idle_f[df] / ntrans[due]
+            window = self._window_f[df]
+            window = np.where(avg_idle < self._target,
+                              window + self._epsilon, window * self._alpha)
+            self._window_f[df] = np.minimum(
+                np.maximum(window, self._cw_min), self._max_window)
+            self._sum_idle_f[df] = 0.0
+            self._ntrans_f[df] = 0
 
     def _draw(self, cells, stations, u):
-        window = np.maximum(np.rint(self._window[cells, stations]), 1.0)
-        return _uniform_window_draw(u, window)
+        window = self._window_f[cells * self._stride + stations]
+        return _uniform_window_draw(u, np.maximum(np.rint(window), 1.0))
 
     def initial_draw(self, cells, stations, u):
         return self._draw(cells, stations, u[:, 0])

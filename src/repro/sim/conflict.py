@@ -48,6 +48,39 @@ batch — topologies and station counts may differ freely inside one batch.
 Results are statistically equivalent to :class:`repro.sim.simulation
 .WlanSimulation` (the cross-validation oracle) but not bit-identical to it:
 the random streams are consumed in a different order.
+
+Cost per event instant
+----------------------
+
+At batch widths the loop is bound by interpreter dispatch, not arithmetic,
+so its layout minimises the number and the cost of numpy calls per instant:
+
+* **Flat per-station state.**  Every ``(cells, S)`` array has a 1-D view, and
+  station ``s`` of cell ``c`` is addressed as ``c * S + s``.  One ``nonzero``
+  over a flat mask yields the indices of an update (freeze, resume, frame
+  start, frame end); ``cell = flat // S`` is formed only where a per-cell
+  value is read.  A one-index gather or scatter costs a fraction of a
+  two-index one.  The per-station IdleSense bank uses the same layout.
+* **One fused observation per instant.**  Two groups of stations observe a
+  transmission at an instant: the starters (their own frame) and the
+  stations that freeze on the carrier-sense rising edge.  Every rising
+  station sensed no frame before the instant — the stored busy view covers
+  every earlier start, and frame ends only clear it — so it sensed one of
+  the instant's starts.  The starters' observations are recorded when they
+  start and handed to the bank together with the rising stations' in one
+  call after the edge pass.  That is exact: the two groups are disjoint (a
+  starter is transmitting, so it never contends), the bank touches each
+  station's state only through its own index, and no bank draw happens
+  between the two points.
+* **Carrier sense in float32.**  The busy view is a batched matrix-vector
+  product of the sensing matrices with a float32 mirror of the transmitting
+  mask, which numpy hands to BLAS.  It is exact because every partial sum
+  is an integer count of at most ``S`` transmitters, far below float32's
+  2^24 limit for consecutive integers.
+* **C-level guards and reductions.**  ``np.count_nonzero`` guards each
+  branch, one reduction over the stacked ``(start_at, tx_end)`` schedule
+  finds every cell's next own event and one comparison marks both starts
+  and ends, and per-instant scratch arrays are allocated once.
 """
 
 from __future__ import annotations
@@ -74,6 +107,15 @@ __all__ = [
 
 #: Sentinel time for "no event scheduled"; far beyond any simulated horizon.
 _NEVER = np.int64(2) ** 62
+
+
+def _flat_nonzero(mask: np.ndarray) -> np.ndarray:
+    """Ascending flat indices of the True entries of a C-contiguous mask.
+
+    Same result as :func:`numpy.flatnonzero`, minus its Python-level
+    wrapper, which costs several times the C call at batch widths.
+    """
+    return mask.ravel().nonzero()[0]
 
 
 def stack_sensing_matrices(
@@ -198,6 +240,12 @@ class BatchedConflictSimulator:
                 "state on a sensing graph (per-cell observation assumes a "
                 "fully connected cell)"
             )
+        if policy_bank.observes_channel and (
+                policy_bank.windows.shape != sensing.shape[:2]):
+            raise ValueError(
+                "the policy bank's (cells, stations) shape must match the "
+                "sensing matrices (observations use flat station indices)"
+            )
         self._controller = controller_bank
         self._seeds = list(seeds)
         self._duration = float(duration)
@@ -237,9 +285,11 @@ class BatchedConflictSimulator:
         max_n = int(self._sensing.shape[1])
         st_range = np.arange(max_n)
         exists = st_range[None, :] < n[:, None]
-        # uint8 views feed the carrier-sense matrix products (bool matmul is
-        # unsupported; station counts are far below the uint8 overflow line).
-        sense_u8 = self._sensing.astype(np.uint8)
+        # Carrier sense is a float32 batched matrix-vector product, which
+        # numpy hands to BLAS (bool matmul is unsupported and integer matmul
+        # is not BLAS).  It is exact: every partial sum is an integer count
+        # of at most S transmitters, far below float32's 2^24 integer line.
+        sense_f32 = self._sensing.astype(np.float32)
 
         k_init = bank.draws_initial
         k_succ = bank.draws_success
@@ -261,16 +311,37 @@ class BatchedConflictSimulator:
         # counting/DIFS (start_at finite), frozen-deferring (start_at NEVER,
         # not transmitting) or transmitting (tx_end finite).  ``remaining``
         # holds the backoff slots not yet counted; it is only debited when a
-        # countdown freezes, mirroring StationProcess.
+        # countdown freezes, mirroring StationProcess.  Each array has a 1-D
+        # view (suffix ``_f``) for per-station updates by flat index, and
+        # ``start_at``/``tx_end`` are the two planes of one schedule array
+        # (see the module docstring).
         remaining = np.zeros((num_cells, max_n), dtype=np.int64)
         counter_start = np.full((num_cells, max_n), _NEVER, dtype=np.int64)
-        start_at = np.full((num_cells, max_n), _NEVER, dtype=np.int64)
+        schedule = np.full((2, num_cells, max_n), _NEVER, dtype=np.int64)
+        start_at, tx_end = schedule
         txing = np.zeros((num_cells, max_n), dtype=bool)
-        tx_end = np.full((num_cells, max_n), _NEVER, dtype=np.int64)
+        # float32 mirror of ``txing`` shaped for the carrier-sense product.
+        txing_f32 = np.zeros((num_cells, max_n, 1), dtype=np.float32)
         corrupt = np.zeros((num_cells, max_n), dtype=bool)
         busy = np.zeros((num_cells, max_n), dtype=bool)
+        new_busy = np.zeros((num_cells, max_n), dtype=bool)
+        sense_cnt = np.zeros((num_cells, max_n, 1), dtype=np.float32)
+        hits = np.zeros((2, num_cells, max_n), dtype=bool)
+        starting_f = hits[0].reshape(-1)
+        ending_f = hits[1].reshape(-1)
+        remaining_f = remaining.reshape(-1)
+        counter_f = counter_start.reshape(-1)
+        start_f = start_at.reshape(-1)
+        end_f = tx_end.reshape(-1)
+        txing_f = txing.reshape(-1)
+        txing_f32_f = txing_f32.reshape(-1)
+        corrupt_f = corrupt.reshape(-1)
         if observes:
-            obs_idle = np.zeros((num_cells, max_n), dtype=np.int64)
+            obs_idle_f = np.zeros(num_cells * max_n, dtype=np.int64)
+        # Per-cell scratch reused by every success instant.
+        smask = np.zeros(num_cells, dtype=bool)
+        succ_counts = np.zeros(num_cells, dtype=np.int64)
+        gap = np.zeros(num_cells, dtype=np.int64)
 
         # Traffic state lives in its own per-cell salted streams, so the
         # contention stream consumption is identical whether or not the
@@ -283,10 +354,10 @@ class BatchedConflictSimulator:
         # the default infinite-retry path is untouched).
         retry_limit = self._retry_limit
         if retry_limit is not None:
-            retry_cnt = np.zeros((num_cells, max_n), dtype=np.int64)
+            retry_f = np.zeros(num_cells * max_n, dtype=np.int64)
             retry_disc = np.zeros(num_cells, dtype=np.int64)
         else:
-            retry_cnt = None
+            retry_f = None
             retry_disc = None
 
         # Initial backoffs for every station; everyone then waits DIFS from
@@ -314,6 +385,8 @@ class BatchedConflictSimulator:
         all_measuring = bool(measuring.all())
         successes = np.zeros((num_cells, max_n), dtype=np.int64)
         failures = np.zeros((num_cells, max_n), dtype=np.int64)
+        successes_f = successes.reshape(-1)
+        failures_f = failures.reshape(-1)
         active_cnt = np.zeros(num_cells, dtype=np.int64)
         busy_since = np.zeros(num_cells, dtype=np.int64)
         busy_total = np.zeros(num_cells, dtype=np.int64)
@@ -337,6 +410,7 @@ class BatchedConflictSimulator:
             next_mark = np.full(num_cells, _NEVER)
         next_tick = np.full(num_cells, tick_ns if tick_ns else _NEVER)
         resume = np.zeros((num_cells, max_n), dtype=bool)
+        resume_f = resume.reshape(-1)
 
         # Phase flags let the hot loop skip measurement bookkeeping before
         # the warm-up boundary (the bulk of every adaptive run).  The state
@@ -370,6 +444,7 @@ class BatchedConflictSimulator:
             probe_next = np.full(num_cells, probe_interval_ns, dtype=np.int64)
             probe_t0 = time.time()
             probe_bits = np.zeros((num_cells, max_n), dtype=np.int64)
+            probe_bits_f = probe_bits.reshape(-1)
             probe_bits_prev = np.zeros((num_cells, max_n), dtype=np.int64)
             p_busy_since = np.zeros(num_cells, dtype=np.int64)
             p_busy_total = np.zeros(num_cells, dtype=np.int64)
@@ -377,7 +452,7 @@ class BatchedConflictSimulator:
 
             def probe_drain() -> None:
                 due_mask = now >= probe_next
-                if not due_mask.any():
+                if not np.count_nonzero(due_mask):
                     return
                 due = np.flatnonzero(due_mask)
                 bank_state = bank.probe_state()
@@ -419,7 +494,7 @@ class BatchedConflictSimulator:
                         probe_next[cell] += probe_interval_ns
 
         while True:
-            if not (now < end_ns).any():
+            if not np.count_nonzero(now < end_ns):
                 break
             if tel_on:
                 t_iterations += 1
@@ -427,8 +502,9 @@ class BatchedConflictSimulator:
             # Jump every cell to its own next event instant.  Finished cells
             # have no schedulable event at or before end_ns, so the clamp
             # parks them exactly there.
-            t = np.minimum(start_at.min(axis=1), tx_end.min(axis=1))
-            np.minimum(t, next_tick, out=t)
+            t = np.minimum.reduce(schedule, axis=(0, 2))
+            if tick_ns is not None:
+                np.minimum(t, next_tick, out=t)
             np.minimum(t, next_mark, out=t)
             if traffic is not None:
                 # Pending frame arrivals are event instants too: a parked
@@ -446,14 +522,19 @@ class BatchedConflictSimulator:
                 np.minimum(t, arrival_ns, out=t)
             np.minimum(t, end_ns, out=t)
             now = t
-            now_col = now[:, None]
+            # Frame starts (plane 0) and ends (plane 1) due now.  Nothing
+            # below moves a schedule entry *to* ``now`` (rejoins, eager
+            # post-ACK reschedules and new frames all land later, and a
+            # countdown committed at ``now`` is never rescheduled), so both
+            # masks stay exact for the whole instant.
+            np.equal(schedule, now[:, None], out=hits)
             if probe_bufs is not None:
                 probe_drain()
 
             # -- warm-up crossing (exact, the boundary bounds the jump) ----
             if not all_measuring:
-                cross = ~measuring & (now >= warmup_ns)
-                if cross.any():
+                cross = (now >= warmup_ns) > measuring
+                if np.count_nonzero(cross):
                     measuring |= cross
                     none_measuring = False
                     successes[cross] = 0
@@ -478,35 +559,36 @@ class BatchedConflictSimulator:
             #    end_ns, so no liveness mask is needed) --------------------
             if tick_ns is not None:
                 due_tick = now >= next_tick
-                if due_tick.any():
+                if np.count_nonzero(due_tick):
                     controller.on_tick(due_tick, now / NS_PER_SECOND)
                     next_tick[due_tick] += tick_ns
 
             # -- frame arrivals (unsaturated workloads) -------------------
             if traffic is not None:
                 rejoined = arrivals.advance(now / NS_PER_SECOND, exists)
-                if rejoined.any():
+                if np.count_nonzero(rejoined):
                     # A rejoining station resumes exactly like after a
                     # freeze: DIFS then its frozen countdown if its sensed
                     # channel is idle right now; otherwise it stays
                     # deferring and the next falling edge schedules it
                     # (the contention masks below include it from now on).
-                    rc, rs = np.nonzero(rejoined & ~txing & ~busy)
-                    counter_start[rc, rs] = now[rc] + difs
-                    start_at[rc, rs] = (
-                        counter_start[rc, rs] + remaining[rc, rs] * sigma
-                    )
+                    rf = _flat_nonzero(rejoined > (txing | busy))
+                    resume_at = now[rf // max_n] + difs
+                    counter_f[rf] = resume_at
+                    start_f[rf] = resume_at + remaining_f[rf] * sigma
 
             changed = False
-            starters = None
 
             # -- data-frame ends ------------------------------------------
-            ending = tx_end == now_col
-            if ending.any():
+            n_ends = np.count_nonzero(ending_f)
+            if n_ends:
                 changed = True
-                cnt_end = ending.sum(axis=1)
+                ef = ending_f.nonzero()[0]
+                # Flat indices ascend, so e_cells is sorted.
+                e_cells = ef // max_n
+                cnt_end = np.bincount(e_cells, minlength=num_cells)
                 if tel_on:
-                    t_ends += int(cnt_end.sum())
+                    t_ends += int(n_ends)
                 active_cnt -= cnt_end
                 if probe_bufs is not None:
                     p_idle = (cnt_end > 0) & (active_cnt == 0)
@@ -518,43 +600,45 @@ class BatchedConflictSimulator:
                     busy_total[idle_now] += (
                         now[idle_now] - busy_since[idle_now]
                     )
-                txing &= ~ending
-                tx_end[ending] = _NEVER
+                txing_f[ef] = False
+                txing_f32_f[ef] = 0.0
+                end_f[ef] = _NEVER
 
-                e_cells, e_st = np.nonzero(ending)
-                fail_flat = corrupt[e_cells, e_st]
+                fail = corrupt_f[ef]
                 if fer_on:
                     # One channel-error draw per finished frame, corrupted or
                     # not (fixed consumption keeps the stream deterministic).
                     base = streams.claim(cnt_end)
-                    rank = (np.arange(e_cells.size)
-                            - np.searchsorted(e_cells, e_cells))
+                    rank = (np.arange(n_ends)
+                            - e_cells.searchsorted(e_cells))
                     u = streams.buffer[e_cells, base[e_cells] + rank]
-                    fail_flat = fail_flat | (u < fer)
-                corrupt[e_cells, e_st] = False
+                    fail = fail | (u < fer)
+                corrupt_f[ef] = False
 
-                if fail_flat.any():
-                    f_cells = e_cells[fail_flat]
-                    f_st = e_st[fail_flat]
+                n_fail = np.count_nonzero(fail)
+                if n_fail:
+                    ff = ef[fail]
+                    f_cells = e_cells[fail]
+                    f_st = ff - f_cells * max_n
                     if not none_measuring:
-                        failures[f_cells, f_st] += measuring[f_cells]
+                        failures_f[ff] += measuring[f_cells]
                     counts = np.bincount(
                         f_cells, minlength=num_cells
                     ) * k_fail
                     base = streams.claim(counts)
-                    # nonzero order is row-major, so f_cells is sorted and
-                    # the within-cell rank falls out of a searchsorted.
-                    frank = (np.arange(f_cells.size)
-                             - np.searchsorted(f_cells, f_cells))
+                    # f_cells is sorted, so the within-cell rank falls out
+                    # of a searchsorted.
+                    frank = (np.arange(n_fail)
+                             - f_cells.searchsorted(f_cells))
                     offs = base[f_cells] + frank * k_fail
-                    if retry_cnt is None:
-                        remaining[f_cells, f_st] = bank.failure_draw(
+                    if retry_f is None:
+                        remaining_f[ff] = bank.failure_draw(
                             f_cells, f_st,
                             streams.gather(f_cells, offs, k_fail),
                         )
                         # The transmitter learns the failure now (no ACK) and
                         # re-enters contention after the busy recompute below.
-                        resume[f_cells, f_st] = True
+                        resume_f[ff] = True
                     else:
                         # Bounded retries: the failure claim above is made
                         # for *every* loser (fixed consumption keeps the
@@ -563,19 +647,22 @@ class BatchedConflictSimulator:
                         # resets its retry chain and redraws from a fresh
                         # success-claim, exactly like 802.11's CW reset
                         # after max retries.
-                        retry_cnt[f_cells, f_st] += 1
-                        disc = retry_cnt[f_cells, f_st] >= retry_limit
+                        tries = retry_f[ff] + 1
+                        retry_f[ff] = tries
+                        disc = tries >= retry_limit
                         keep = ~disc
-                        kc, ks = f_cells[keep], f_st[keep]
-                        remaining[kc, ks] = bank.failure_draw(
-                            kc, ks, streams.gather(kc, offs[keep], k_fail)
+                        kf, kc = ff[keep], f_cells[keep]
+                        remaining_f[kf] = bank.failure_draw(
+                            kc, f_st[keep],
+                            streams.gather(kc, offs[keep], k_fail),
                         )
-                        resume[kc, ks] = True
-                        if disc.any():
-                            dc, ds = f_cells[disc], f_st[disc]
-                            retry_cnt[dc, ds] = 0
+                        resume_f[kf] = True
+                        n_disc = np.count_nonzero(disc)
+                        if n_disc:
+                            df, dc, ds = ff[disc], f_cells[disc], f_st[disc]
+                            retry_f[df] = 0
                             if tel_on:
-                                t_discards += int(np.count_nonzero(disc))
+                                t_discards += int(n_disc)
                             if all_measuring:
                                 np.add.at(retry_disc, dc, 1)
                             elif not none_measuring:
@@ -588,9 +675,9 @@ class BatchedConflictSimulator:
                                 dc, minlength=num_cells
                             ) * k_succ
                             base2 = streams.claim(counts2)
-                            drank = (np.arange(dc.size)
-                                     - np.searchsorted(dc, dc))
-                            remaining[dc, ds] = bank.success_draw(
+                            drank = (np.arange(n_disc)
+                                     - dc.searchsorted(dc))
+                            remaining_f[df] = bank.success_draw(
                                 dc, ds,
                                 streams.gather(
                                     dc, base2[dc] + drank * k_succ, k_succ
@@ -600,21 +687,22 @@ class BatchedConflictSimulator:
                                 # The discard may have emptied the queue:
                                 # only stations still holding a frame
                                 # re-enter contention.
-                                resume[dc, ds] = (
-                                    arrivals.has_frame()[dc, ds]
+                                resume_f[df] = (
+                                    arrivals.has_frame().reshape(-1)[df]
                                 )
                             else:
-                                resume[dc, ds] = True
+                                resume_f[df] = True
                     any_resume = True
 
-                if not fail_flat.all():
+                if n_fail < n_ends:
                     # At most one clean frame can end per cell per instant
                     # (two frames ending together overlapped, hence failed).
-                    succ_flat = ~fail_flat
-                    s_cells = e_cells[succ_flat]
-                    s_st = e_st[succ_flat]
-                    if retry_cnt is not None:
-                        retry_cnt[s_cells, s_st] = 0
+                    succ = ~fail
+                    sf = ef[succ]
+                    s_cells = e_cells[succ]
+                    s_st = sf - s_cells * max_n
+                    if retry_f is not None:
+                        retry_f[sf] = 0
                     if traffic is not None:
                         # The delivered frame leaves the winner's FIFO
                         # (exact per-frame delay).  The pop precedes the
@@ -623,22 +711,22 @@ class BatchedConflictSimulator:
                         arrivals.pop_success(s_cells, s_st,
                                              now / NS_PER_SECOND)
                     if probe_bufs is not None:
-                        probe_bits[s_cells, s_st] += payload
+                        probe_bits_f[sf] += payload
                     if not none_measuring:
                         meas = measuring[s_cells]
-                        successes[s_cells, s_st] += meas
+                        successes_f[sf] += meas
                         if interval_ns:
                             cum_bits[s_cells] += payload * meas
-                    smask = np.zeros(num_cells, dtype=bool)
-                    smask[s_cells] = True
                     if adaptive:
+                        smask.fill(False)
+                        smask[s_cells] = True
                         controller.on_packet_received(
                             smask, now / NS_PER_SECOND
                         )
-                    counts = np.zeros(num_cells, dtype=np.int64)
-                    counts[s_cells] = k_succ
-                    base = streams.claim(counts)
-                    remaining[s_cells, s_st] = bank.success_draw(
+                    succ_counts.fill(0)
+                    succ_counts[s_cells] = k_succ
+                    base = streams.claim(succ_counts)
+                    remaining_f[sf] = bank.success_draw(
                         s_cells, s_st,
                         streams.gather(s_cells, base[s_cells], k_succ),
                     )
@@ -650,70 +738,73 @@ class BatchedConflictSimulator:
                     # freezes at the ACK onset and resumes DIFS after the
                     # ACK.  A frozen station's counter_start is the _NEVER
                     # sentinel, which drives ``elapsed`` hugely negative, so
-                    # one shared max(..., 0) handles every case.
-                    gap = np.full(num_cells, _NEVER)
+                    # one shared max(..., 0) handles every case.  Other
+                    # cells keep gap = _NEVER, which no start_at exceeds.
+                    gap.fill(_NEVER)
                     gap[s_cells] = now[s_cells] + sifs
-                    resched = (exists & smask[:, None]
-                               & (start_at > gap[:, None]))
+                    resched = exists & (start_at > gap[:, None])
                     if traffic is not None:
                         # Parked stations have nothing to send: leave their
                         # schedule at the _NEVER sentinel.
                         resched &= arrivals.has_frame()
-                    rc, rs = np.nonzero(resched)
+                    rf = _flat_nonzero(resched)
+                    r_gap = gap[rf // max_n]
+                    r_rem = remaining_f[rf]
                     elapsed = np.minimum(
-                        np.maximum((gap[rc] - counter_start[rc, rs]) // sigma,
-                                   0),
-                        remaining[rc, rs],
+                        np.maximum((r_gap - counter_f[rf]) // sigma, 0),
+                        r_rem,
                     )
-                    remaining[rc, rs] -= elapsed
+                    r_rem -= elapsed
+                    remaining_f[rf] = r_rem
                     if observes:
-                        obs_idle[rc, rs] += elapsed
-                    resume_base = gap[rc] + ack_skip
-                    counter_start[rc, rs] = resume_base
-                    start_at[rc, rs] = (
-                        resume_base + remaining[rc, rs] * sigma
-                    )
+                        obs_idle_f[rf] += elapsed
+                    resume_base = r_gap + ack_skip
+                    counter_f[rf] = resume_base
+                    start_f[rf] = resume_base + r_rem * sigma
                     # The channel is clear: clear the stored busy view so the
                     # generic edge pass below does not re-schedule the cell's
                     # stations over the eager post-ACK schedule.
-                    busy[smask] = False
+                    busy[s_cells] = False
 
             # -- data-frame starts ----------------------------------------
-            start_mask = start_at == now_col
-            if start_mask.any():
+            n_starts = np.count_nonzero(starting_f)
+            if n_starts:
                 changed = True
-                starters = start_mask
-                n_start = start_mask.sum(axis=1)
+                sf = starting_f.nonzero()[0]
+                s_cells = sf // max_n
+                n_start = np.bincount(s_cells, minlength=num_cells)
                 if tel_on:
-                    t_starts += int(n_start.sum())
-                stc, sts = np.nonzero(start_mask)
+                    t_starts += int(n_starts)
                 if observes:
                     # A station observes its own transmission: the idle run
-                    # plus the slots of the final countdown stint.
-                    bank.observe_station_transmissions(
-                        stc, sts, obs_idle[stc, sts] + remaining[stc, sts]
-                    )
-                    obs_idle[stc, sts] = 0
-                txing |= start_mask
-                tx_end[stc, sts] = now[stc] + data_ns
-                start_at[stc, sts] = _NEVER
-                counter_start[stc, sts] = _NEVER
+                    # plus the slots of the final countdown stint.  The
+                    # observation is fed to the bank after the edge pass,
+                    # together with the onsets it causes.
+                    obs_flat = sf
+                    obs_slots = obs_idle_f[sf] + remaining_f[sf]
+                    obs_idle_f[sf] = 0
+                txing_f[sf] = True
+                txing_f32_f[sf] = 1.0
+                end_f[sf] = now[s_cells] + data_ns
+                start_f[sf] = _NEVER
+                counter_f[sf] = _NEVER
                 # Any temporal overlap between data frames corrupts every
                 # frame in the air (the paper's all-pairs interference rule).
-                collide = (active_cnt + n_start >= 2) & (n_start > 0)
-                if collide.any():
+                started = n_start > 0
+                collide = (active_cnt + n_start >= 2) & started
+                if np.count_nonzero(collide):
                     corrupt |= txing & collide[:, None]
                 if probe_bufs is not None:
-                    p_fresh = (active_cnt == 0) & (n_start > 0)
+                    p_fresh = (active_cnt == 0) & started
                     p_busy_since[p_fresh] = now[p_fresh]
                 if not none_measuring:
-                    fresh = (active_cnt == 0) & (n_start > 0)
+                    fresh = (active_cnt == 0) & started
                     busy_since[fresh] = now[fresh]
                     busy_periods[fresh] += 1
                 elif warmup_ns > 0:
                     # Only the "busy since" anchor matters pre-warm-up (the
                     # totals are reset at the crossing).
-                    fresh = (active_cnt == 0) & (n_start > 0)
+                    fresh = (active_cnt == 0) & started
                     busy_since[fresh] = now[fresh]
                 active_cnt += n_start
 
@@ -721,70 +812,72 @@ class BatchedConflictSimulator:
             if changed:
                 if tel_on:
                     t_sense += 1
-                busy_cnt = sense_u8 @ txing.view(np.uint8)[:, :, None]
-                new_busy = busy_cnt[:, :, 0] > 0
-                contend = exists & ~txing
+                np.matmul(sense_f32, txing_f32, out=sense_cnt)
+                np.greater(sense_cnt[:, :, 0], 0, out=new_busy)
+                # exists & ~txing (& ~resume), as bool comparisons.
+                contend = exists > txing
                 if any_resume:
-                    contend &= ~resume
-                rising = contend & new_busy & ~busy
-                if rising.any():
+                    np.greater(contend, resume, out=contend)
+                rising = (new_busy > busy) & contend
+                if np.count_nonzero(rising):
                     # Freeze: debit the whole slots the countdown consumed
                     # (stations waiting out DIFS have a future counter_start,
                     # so the floor clamps their debit to zero).
-                    rc, rs = np.nonzero(rising)
+                    rf = _flat_nonzero(rising)
+                    r_rem = remaining_f[rf]
                     elapsed = np.minimum(
-                        np.maximum((now[rc] - counter_start[rc, rs]) // sigma,
-                                   0),
-                        remaining[rc, rs],
+                        np.maximum(
+                            (now[rf // max_n] - counter_f[rf]) // sigma, 0),
+                        r_rem,
                     )
-                    remaining[rc, rs] -= elapsed
-                    start_at[rc, rs] = _NEVER
-                    counter_start[rc, rs] = _NEVER
+                    remaining_f[rf] = r_rem - elapsed
+                    start_f[rf] = _NEVER
+                    counter_f[rf] = _NEVER
                     if observes:
-                        obs_idle[rc, rs] += elapsed
-                        if starters is not None:
-                            onset = sense_u8 @ starters.view(
-                                np.uint8)[:, :, None]
-                            saw_data = onset[rc, rs, 0] > 0
-                            if saw_data.any():
-                                oc, os_ = rc[saw_data], rs[saw_data]
-                                bank.observe_station_transmissions(
-                                    oc, os_, obs_idle[oc, os_]
-                                )
-                                obs_idle[oc, os_] = 0
+                        # A rising station sensed no frame before this
+                        # instant (the stored busy view covers every earlier
+                        # start, and ends only clear it), so it sensed one
+                        # of this instant's starts: it observes that onset.
+                        obs_flat = np.concatenate((obs_flat, rf))
+                        obs_slots = np.concatenate(
+                            (obs_slots, obs_idle_f[rf] + elapsed))
+                        obs_idle_f[rf] = 0
                 # Parked (empty-queue) stations stay in the rising/freeze
                 # pass above — their debit clamps to zero, their schedule is
                 # already the _NEVER sentinel, and they keep feeding
                 # channel observations exactly like the event-driven
                 # simulator's idle stations — but a falling edge must not
                 # schedule a transmission for them: they rejoin on arrival.
-                falling = contend & busy & ~new_busy
+                falling = (busy > new_busy) & contend
                 if traffic is not None:
                     falling &= arrivals.has_frame()
-                if falling.any():
-                    fc, fs = np.nonzero(falling)
-                    counter_start[fc, fs] = now[fc] + difs
-                    start_at[fc, fs] = (
-                        counter_start[fc, fs] + remaining[fc, fs] * sigma
-                    )
                 if any_resume:
-                    r_idle = resume & ~new_busy
-                    if r_idle.any():
-                        rc, rs = np.nonzero(r_idle)
-                        counter_start[rc, rs] = now[rc] + difs
-                        start_at[rc, rs] = (
-                            counter_start[rc, rs] + remaining[rc, rs] * sigma
-                        )
-                    # Deferring resumers simply wait for their falling edge.
-                    resume[:] = False
+                    # Failed transmitters sensing an idle channel resume
+                    # like a falling edge (they are not in ``contend``, so
+                    # the two sets are disjoint); deferring resumers simply
+                    # wait for their falling edge.
+                    falling |= resume > new_busy
+                    resume.fill(False)
                     any_resume = False
-                busy = new_busy
+                if np.count_nonzero(falling):
+                    ff = _flat_nonzero(falling)
+                    resume_at = now[ff // max_n] + difs
+                    counter_f[ff] = resume_at
+                    start_f[ff] = resume_at + remaining_f[ff] * sigma
+                busy, new_busy = new_busy, busy
+                if observes and n_starts:
+                    # One fused call for the starters' own transmissions and
+                    # the onsets they caused: the two sets are disjoint (a
+                    # starter is transmitting, so it never contends), each
+                    # station's state is touched only through its own index,
+                    # and no bank draw happens in between.
+                    bank.observe_stations(obs_flat, obs_slots)
 
             # -- reporting boundaries (exact instants; finished cells have
             #    next_mark past end_ns) -----------------------------------
             if interval_ns and not none_measuring:
                 due = measuring & (now >= next_mark)
-                if due.any():
+                if np.count_nonzero(due):
                     primary = controller.primary_control()
                     for cell in np.flatnonzero(due):
                         delta = int(cum_bits[cell] - bits_last[cell])

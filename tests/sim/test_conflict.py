@@ -236,6 +236,18 @@ class TestReportingAndValidation:
             BatchedConflictSimulator(bank, controller, sensing, [2], [1],
                                      duration=0.1, phy=phy)
 
+    def test_observing_bank_width_must_match_sensing(self, phy):
+        """Observations address stations by flat index, so widths agree."""
+        bank, controller, _ = make_batched_system(
+            "idlesense", {}, 1, 3, phy, station_observations=True
+        )
+        sensing = stack_sensing_matrices(
+            [fully_connected_scenario(2).sensing_matrix()]
+        )
+        with pytest.raises(ValueError, match="shape must match"):
+            BatchedConflictSimulator(bank, controller, sensing, [2], [1],
+                                     duration=0.1, phy=phy)
+
     def test_padding_region_must_be_false(self, phy):
         sensing = np.ones((1, 4, 4), dtype=bool)
         bank, controller, _ = make_batched_system(

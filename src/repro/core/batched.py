@@ -100,8 +100,8 @@ class BatchedSegmentMeter:
         if not self._all_started:
             unset = cell_mask & np.isnan(self._start)
             self._start[unset] = now[unset]
-            self._all_started = not np.isnan(self._start).any()
-        self._bits[cell_mask] += payload_bits
+            self._all_started = not np.count_nonzero(np.isnan(self._start))
+        np.add(self._bits, payload_bits, out=self._bits, where=cell_mask)
         closed = cell_mask & (now - self._start >= self._period)
         return closed
 
@@ -110,18 +110,18 @@ class BatchedSegmentMeter:
         if not self._all_started:
             unset = cell_mask & np.isnan(self._start)
             self._start[unset] = now[unset]
-            self._all_started = not np.isnan(self._start).any()
+            self._all_started = not np.count_nonzero(np.isnan(self._start))
             closed = cell_mask & ~unset & (now - self._start >= self._period)
         else:
             closed = cell_mask & (now - self._start >= self._period)
         return closed
 
-    def throughput_and_restart(self, closed: np.ndarray,
+    def throughput_and_restart(self, cells: np.ndarray,
                                now: np.ndarray) -> np.ndarray:
-        """Throughput (bits/s) of the cells in ``closed``; restart their segments."""
-        throughput = self._bits[closed] / self._period
-        self._bits[closed] = 0
-        self._start[closed] = now[closed]
+        """Throughput (bits/s) of the indexed cells; restart their segments."""
+        throughput = self._bits[cells] / self._period
+        self._bits[cells] = 0
+        self._start[cells] = now[cells]
         return throughput
 
 
@@ -167,20 +167,25 @@ class BatchedKwTracker:
             )
         return self._probe_cache
 
-    def observe(self, cell_mask: np.ndarray, measurement: np.ndarray) -> np.ndarray:
-        """Record measurements for cells in ``cell_mask``; return completed pairs."""
-        was_plus = cell_mask & self.plus_side
-        was_minus = cell_mask & ~self.plus_side
-        self.plus_measurement[was_plus] = measurement[was_plus]
+    def observe(self, cells: np.ndarray, measurement: np.ndarray) -> np.ndarray:
+        """Record ``measurement[i]`` for cell ``cells[i]``; return the cells
+        that completed a pair.
+
+        ``cells`` are distinct indices; the returned ones keep their order.
+        """
+        plus = self.plus_side[cells]
+        was_plus = cells[plus]
+        self.plus_measurement[was_plus] = measurement[plus]
         self.plus_side[was_plus] = False
-        if np.any(was_minus):
+        minus = ~plus
+        was_minus = cells[minus]
+        if was_minus.size:
             k = self.k[was_minus].astype(np.float64)
             gradient = (
-                self.plus_measurement[was_minus] - measurement[was_minus]
+                self.plus_measurement[was_minus] - measurement[minus]
             ) / self._b(k)
-            self.center[was_minus] = np.clip(
-                self.center[was_minus] + self._a(k) * gradient, 0.0, 1.0
-            )
+            self.center[was_minus] = np.minimum(np.maximum(
+                self.center[was_minus] + self._a(k) * gradient, 0.0), 1.0)
             self.k[was_minus] += 1
             self.plus_side[was_minus] = True
             self.plus_measurement[was_minus] = np.nan
@@ -189,12 +194,13 @@ class BatchedKwTracker:
         self.version += 1
         return was_minus
 
-    def reset_cells(self, cell_mask: np.ndarray, center: float) -> None:
-        """TORA stage-shift reset: new centre, ``k`` stepped back one pair."""
-        self.center[cell_mask] = center
-        self.k[cell_mask] = np.maximum(self.k[cell_mask] - 1, 1)
-        self.plus_side[cell_mask] = True
-        self.plus_measurement[cell_mask] = np.nan
+    def reset_cells(self, cells: np.ndarray, center: float) -> None:
+        """TORA stage-shift reset of distinct ``cells``: new centre, ``k``
+        stepped back one pair."""
+        self.center[cells] = center
+        self.k[cells] = np.maximum(self.k[cells] - 1, 1)
+        self.plus_side[cells] = True
+        self.plus_measurement[cells] = np.nan
         self._probe_cache = None
         self.version += 1
 
@@ -218,24 +224,24 @@ class _BatchedAdaptiveBank(BatchedControllerBank):
         return self._tracker
 
     def _apply_measurement(self, closed: np.ndarray, now: np.ndarray) -> None:
-        throughput = self._meter.throughput_and_restart(closed, now)
-        measurement = np.zeros(now.shape)
-        measurement[closed] = throughput / self._scale
-        completed = self._tracker.observe(closed, measurement)
+        cells = closed.nonzero()[0]
+        throughput = self._meter.throughput_and_restart(cells, now)
+        completed = self._tracker.observe(cells, throughput / self._scale)
         self._after_pair(completed)
 
     def _after_pair(self, completed: np.ndarray) -> None:
-        """Hook for TORA's stage-shift rule; default no-op."""
+        """Hook for TORA's stage-shift rule (``completed``: cell indices);
+        default no-op."""
         return None
 
     def on_packet_received(self, cell_mask, now):
         closed = self._meter.observe(cell_mask, self._payload_bits, now)
-        if np.any(closed):
+        if np.count_nonzero(closed):
             self._apply_measurement(closed, now)
 
     def on_tick(self, cell_mask, now):
         closed = self._meter.maybe_close(cell_mask, now)
-        if np.any(closed):
+        if np.count_nonzero(closed):
             self._apply_measurement(closed, now)
 
 
@@ -279,7 +285,8 @@ class BatchedWTopBank(_BatchedAdaptiveBank):
         if self._p_version != self._tracker.version:
             probe = self._tracker.probe()
             p = np.exp(self._log_low + probe * self._log_ratio)
-            self._p_cache = np.clip(p, self._mapping.low, self._mapping.high)
+            self._p_cache = np.minimum(np.maximum(p, self._mapping.low),
+                                       self._mapping.high)
             self._p_version = self._tracker.version
         return self._p_cache
 
@@ -315,17 +322,19 @@ class BatchedToraBank(_BatchedAdaptiveBank):
         self._stage = np.full(num_cells, int(initial_stage), dtype=np.int64)
 
     def _after_pair(self, completed: np.ndarray) -> None:
-        if not np.any(completed):
+        if not completed.size:
             return
-        center = self._tracker.center
-        shift_up = completed & (center <= self._low_threshold) & (
-            self._stage < self._max_stage
-        )
-        shift_down = completed & (center >= self._high_threshold) & (self._stage > 0)
-        if np.any(shift_up) or np.any(shift_down):
+        center = self._tracker.center[completed]
+        stage = self._stage[completed]
+        shift_up = completed[(center <= self._low_threshold)
+                             & (stage < self._max_stage)]
+        shift_down = completed[(center >= self._high_threshold) & (stage > 0)]
+        if shift_up.size or shift_down.size:
             self._stage[shift_up] += 1
             self._stage[shift_down] -= 1
-            self._tracker.reset_cells(shift_up | shift_down, 0.5)
+            # The thresholds are ordered, so the two sets are disjoint.
+            self._tracker.reset_cells(
+                np.concatenate((shift_up, shift_down)), 0.5)
 
     def advertised_p0(self) -> np.ndarray:
         """Per-cell reset probability currently advertised to stations."""

@@ -57,7 +57,7 @@ def _uniform_window_draw(u: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 def _log_survival(p: np.ndarray) -> np.ndarray:
     """``log(1 - p)`` with ``p`` clipped into (0, 1) so the value is finite."""
-    return np.log1p(-np.clip(p, 1e-12, 1.0 - 1e-12))
+    return np.log1p(-np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12))
 
 
 def _geometric_draw(u: np.ndarray, log_q: np.ndarray) -> np.ndarray:
@@ -74,9 +74,9 @@ class BatchedPolicyBank(ABC):
     """State of one backoff policy for every (cell, station) of a batch.
 
     ``cells`` / ``stations`` arguments are parallel flat index arrays naming
-    the (cell, station) pairs to redraw; ``u`` is a ``(len(cells), k)`` array
-    of uniforms gathered from each cell's own stream, where ``k`` is the
-    bank's fixed per-event draw count.
+    the (cell, station) pairs to redraw, each pair at most once per call;
+    ``u`` is a ``(len(cells), k)`` array of uniforms gathered from each
+    cell's own stream, where ``k`` is the bank's fixed per-event draw count.
     """
 
     #: Whether stations observe channel activity (IdleSense does).
@@ -146,16 +146,20 @@ class _ExponentialWindowBank(BatchedPolicyBank):
         self._cw_min = np.int64(phy.cw_min)
         self._cw_max = np.int64(phy.cw_max)
         self._num_stages = int(phy.num_backoff_stages)
+        self._stride = int(max_stations)
         self._stage = np.zeros((num_cells, max_stations), dtype=np.int64)
-
-    def _window(self, cells: np.ndarray, stations: np.ndarray) -> np.ndarray:
-        return np.minimum(self._cw_min << self._stage[cells, stations], self._cw_max)
+        self._stage_f = self._stage.reshape(-1)
+        #: ``CW_i`` by stage ``i``: one gather per draw.
+        self._windows = np.minimum(
+            self._cw_min << np.arange(self._num_stages + 1), self._cw_max)
 
     def failure_draw(self, cells, stations, u):
-        self._stage[cells, stations] = np.minimum(
-            self._stage[cells, stations] + 1, self._num_stages
-        )
-        return _uniform_window_draw(u[:, 0], self._window(cells, stations))
+        # A one-index get and set beat two two-index ones even after the
+        # flat index is formed; the set-only success paths keep two indices.
+        flat = cells * self._stride + stations
+        stage = np.minimum(self._stage_f[flat] + 1, self._num_stages)
+        self._stage_f[flat] = stage
+        return _uniform_window_draw(u[:, 0], self._windows[stage])
 
     @property
     def stages(self) -> np.ndarray:
@@ -163,10 +167,7 @@ class _ExponentialWindowBank(BatchedPolicyBank):
         return self._stage.copy()
 
     def probe_state(self) -> Dict[str, np.ndarray]:
-        return {
-            "cw": np.minimum(self._cw_min << self._stage, self._cw_max),
-            "stage": self._stage.copy(),
-        }
+        return {"cw": self._windows[self._stage], "stage": self._stage.copy()}
 
 
 class BatchedDcfBank(_ExponentialWindowBank):
@@ -177,8 +178,9 @@ class BatchedDcfBank(_ExponentialWindowBank):
     """
 
     def initial_draw(self, cells, stations, u):
+        # Stage 0 draws from CW_0 = CWmin (CWmax >= CWmin).
         self._stage[cells, stations] = 0
-        return _uniform_window_draw(u[:, 0], self._window(cells, stations))
+        return _uniform_window_draw(u[:, 0], self._cw_min)
 
     success_draw = initial_draw
 
@@ -219,35 +221,28 @@ class BatchedIdleSenseBank(BatchedPolicyBank):
         self._total_trans = np.zeros(num_cells, dtype=np.int64)
 
     def observe_transmission(self, cell_mask, idle_run):
-        observed = idle_run[cell_mask]
-        self._sum_idle[cell_mask] += observed
-        self._total_idle[cell_mask] += observed
-        self._total_trans[cell_mask] += 1
-        self._ntrans[cell_mask] += 1
-        due = cell_mask & (self._ntrans >= self._maxtrans)
-        if np.any(due):
+        np.add(self._sum_idle, idle_run, out=self._sum_idle, where=cell_mask)
+        np.add(self._total_idle, idle_run, out=self._total_idle,
+               where=cell_mask)
+        self._total_trans += cell_mask
+        self._ntrans += cell_mask
+        due = ((self._ntrans >= self._maxtrans) & cell_mask).nonzero()[0]
+        if due.size:
             avg_idle = self._sum_idle[due] / self._ntrans[due]
-            window = np.where(
-                avg_idle < self._target,
-                self._window[due] + self._epsilon,
-                self._window[due] * self._alpha,
-            )
-            self._window[due] = np.clip(window, self._cw_min, self._max_window)
+            window = self._window[due]
+            window = np.where(avg_idle < self._target,
+                              window + self._epsilon, window * self._alpha)
+            window = np.minimum(np.maximum(window, self._cw_min),
+                                self._max_window)
+            self._window[due] = window
             self._sum_idle[due] = 0.0
             self._ntrans[due] = 0
 
-    def _draw(self, cells, u):
-        window = np.maximum(np.rint(self._window[cells]), 1.0)
-        return _uniform_window_draw(u, window)
-
     def initial_draw(self, cells, stations, u):
-        return self._draw(cells, u[:, 0])
+        window = np.maximum(np.rint(self._window[cells]), 1.0)
+        return _uniform_window_draw(u[:, 0], window)
 
-    def success_draw(self, cells, stations, u):
-        return self._draw(cells, u[:, 0])
-
-    def failure_draw(self, cells, stations, u):
-        return self._draw(cells, u[:, 0])
+    success_draw = failure_draw = initial_draw
 
     def station_observed_idle(self):
         out = self._total_idle / np.maximum(self._total_trans, 1)
@@ -515,24 +510,26 @@ class BatchedRandomResetBank(_ExponentialWindowBank):
         self._control = control
 
     def _reset_draw(self, cells, stations, u, reset_stage, p0):
+        """Redraw the stage from ``(j, p0)`` (scalars or per-pair arrays).
+
+        ``u[:, 0]`` decides reset-to-``j`` and ``u[:, 1]`` picks a uniform
+        higher stage, capped at ``m``; at ``j = m`` (stages never exceed
+        ``m``) both branches give ``m``.
+        """
         m = self._num_stages
-        # u[:, 0] decides reset-to-j, u[:, 1] picks a uniform higher stage.
         higher = reset_stage + 1 + (u[:, 1] * (m - reset_stage)).astype(np.int64)
         stage = np.where(u[:, 0] < p0, reset_stage, np.minimum(higher, m))
-        stage = np.where(reset_stage >= m, m, stage)
         self._stage[cells, stations] = stage
-        return _uniform_window_draw(u[:, 2], self._window(cells, stations))
+        return _uniform_window_draw(u[:, 2], self._windows[stage])
 
     def initial_draw(self, cells, stations, u):
-        reset_stage = np.full(cells.shape, self._initial_stage, dtype=np.int64)
-        p0 = np.full(cells.shape, self._initial_p0)
-        return self._reset_draw(cells, stations, u, reset_stage, p0)
+        return self._reset_draw(cells, stations, u, self._initial_stage,
+                                self._initial_p0)
 
     def success_draw(self, cells, stations, u):
         if self._control is None:
-            reset_stage = np.full(cells.shape, self._initial_stage, dtype=np.int64)
-            p0 = np.full(cells.shape, self._initial_p0)
-        else:
-            reset_stage = self._control.advertised_stage()[cells]
-            p0 = self._control.advertised_p0()[cells]
-        return self._reset_draw(cells, stations, u, reset_stage, p0)
+            return self._reset_draw(cells, stations, u, self._initial_stage,
+                                    self._initial_p0)
+        return self._reset_draw(cells, stations, u,
+                                self._control.advertised_stage()[cells],
+                                self._control.advertised_p0()[cells])

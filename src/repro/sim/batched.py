@@ -32,6 +32,44 @@ streams are consumed in a different order.  Hidden-node topologies are out
 of scope for *this* renewal-slot simulator; the conflict-matrix simulator
 in :mod:`repro.sim.conflict` vectorizes those (with the scalar event-driven
 :mod:`repro.sim.simulation` as the cross-validation oracle).
+
+Cost per iteration
+------------------
+
+At batch widths the loop is bound by interpreter dispatch, not arithmetic,
+so its layout minimises the number and the cost of numpy calls per renewal
+iteration:
+
+* **One counter reduction.**  Each iteration takes the per-cell minimum
+  counter once.  The idle fast-forward then lowers it by the cell's advance
+  instead of reducing again: every contending station of a cell counts down
+  by the same advance, so the minimum moves by exactly that much.  A cell
+  with no contender reads ``_INACTIVE - slots`` instead of ``_INACTIVE``;
+  both are positive, so the cell still does not transmit.
+* **One 2-D decrement.**  The counters are not lowered by the advance when
+  it is taken.  The transmitters are the stations of transmitting cells
+  whose counter *equals* the advance, and every contending counter then
+  moves by ``advance + 1`` (transmitting cells) or ``advance`` (the rest)
+  in one subtraction; an iteration without transmissions subtracts the
+  advance alone.  This equals the two separate decrements because nothing
+  reads the counters between them: ticks, probe drains and report samples
+  read bank, controller and metric state only.
+* **One flat transmitter list.**  One ``nonzero`` over the flat transmitter
+  mask lists every transmitter as ``cell * S + station``; ``divmod`` splits
+  the index and ``bincount`` counts transmitters per cell.  Row-major order
+  is the (cell, station) order of the two-index code.  A succeeding cell has
+  exactly one transmitter, and every transmitter of a losing cell is a
+  collider, so a collider's rank among its cell's colliders is its distance
+  from the cell's first transmitter, ``arange - searchsorted(cells,
+  cells)``.
+* **Flat views and C-level guards.**  Counters, success and failure tallies
+  and retry counters are read and written through 1-D views with the
+  transmitter list's flat indices, which costs a fraction of a two-index
+  gather or scatter.  (The random streams keep two-index gathers: their
+  callers hold (cell, offset) pairs, and forming a flat index costs more
+  than it saves.)  ``np.count_nonzero`` guards each branch, and the warm-up
+  crossing test runs only when more cells are past the boundary than are
+  measuring (every measuring cell already is).
 """
 
 from __future__ import annotations
@@ -116,13 +154,19 @@ class CellStreams:
         return self._blocks.copy()
 
     def claim(self, counts: np.ndarray) -> np.ndarray:
-        """Reserve ``counts[c]`` uniforms per cell; return per-cell offsets."""
+        """Reserve ``counts[c]`` uniforms per cell; return per-cell offsets.
+
+        A claim larger than its cell's block raises before any cell is
+        refilled, so a rejected claim leaves every stream as it was.
+        """
         new_pos = self._pos + counts
-        if (new_pos > self._blocks).any():
-            for cell in np.flatnonzero(new_pos > self._blocks):
+        over = new_pos > self._blocks
+        if np.count_nonzero(over):
+            refill = over.nonzero()[0]
+            if np.count_nonzero(counts[refill] > self._blocks[refill]):
+                raise ValueError("claim exceeds the stream block size")
+            for cell in refill:
                 block = int(self._blocks[cell])
-                if counts[cell] > block:
-                    raise ValueError("claim exceeds the stream block size")
                 self.buffer[cell, :block] = self._rngs[int(cell)].random(block)
                 self._pos[cell] = 0
             new_pos = self._pos + counts
@@ -290,7 +334,7 @@ class BatchedSlottedSimulator:
         # Per-cell clocks, measurement state and metrics.
         now = np.zeros(num_cells)
         measuring = np.full(num_cells, warmup == 0.0)
-        all_measuring = bool(measuring.all())
+        n_measuring = num_cells if warmup == 0.0 else 0
         idle_run = np.zeros(num_cells, dtype=np.int64)
         successes = np.zeros((num_cells, max_n), dtype=np.int64)
         failures = np.zeros((num_cells, max_n), dtype=np.int64)
@@ -330,11 +374,22 @@ class BatchedSlottedSimulator:
         fer_on = fer > 0.0
         # Phase flags let the hot loop skip measurement bookkeeping before the
         # warm-up boundary and per-cell masking after every cell crossed it.
-        none_measuring = not measuring.any()
+        none_measuring = n_measuring == 0
+        all_measuring = n_measuring == num_cells
+
+        # Flat views of the per-station state: station ``s`` of cell ``c`` is
+        # index ``c * max_n + s`` (see "Cost per iteration" in the module
+        # docstring).
+        counters_f = counters.reshape(-1)
+        successes_f = successes.reshape(-1)
+        failures_f = failures.reshape(-1)
+        retry_f = None if retry_cnt is None else retry_cnt.reshape(-1)
+        tx_mask = np.empty((num_cells, max_n), dtype=bool)
+        tx_mask_f = tx_mask.reshape(-1)
 
         def sample_reports(fire: np.ndarray) -> None:
             """Record timeline samples; refresh countdowns (deficit-credited)."""
-            cells = np.flatnonzero(fire)
+            cells = fire.nonzero()[0]
             primary = controller.primary_control()
             for cell in cells:
                 delta = int(cum_bits[cell] - bits_last[cell])
@@ -365,6 +420,7 @@ class BatchedSlottedSimulator:
             probe_next = np.full(num_cells, probe_interval)
             probe_t0 = time.time()
             probe_bits = np.zeros((num_cells, max_n), dtype=np.int64)
+            probe_bits_f = probe_bits.reshape(-1)
             probe_bits_prev = np.zeros((num_cells, max_n), dtype=np.int64)
             probe_busy = np.zeros(num_cells)
             probe_countdown = 0
@@ -381,9 +437,9 @@ class BatchedSlottedSimulator:
                     return
                 probe_countdown = 4
                 due_mask = now >= probe_next
-                if not due_mask.any():
+                if not np.count_nonzero(due_mask):
                     return
-                due = np.flatnonzero(due_mask)
+                due = due_mask.nonzero()[0]
                 bank_state = bank.probe_state()
                 ctrl_state = controller.probe_state()
                 queues = (arrivals.queue_lengths
@@ -418,7 +474,7 @@ class BatchedSlottedSimulator:
 
         while True:
             alive = now < end_time
-            if not alive.any():
+            if not np.count_nonzero(alive):
                 break
             if tel_on:
                 t_iterations += 1
@@ -427,12 +483,12 @@ class BatchedSlottedSimulator:
             # stations redraw a backoff under the current control values
             # (success-draw semantics), leaving stations stop contending.
             while has_schedule:
-                due = np.flatnonzero(alive & (now >= pending_change))
+                due = (alive & (now >= pending_change)).nonzero()[0]
                 if due.size == 0:
                     break
                 new_active = change_counts[change_index[due]]
                 old_active = active[due]
-                shrink = np.flatnonzero(new_active < old_active)
+                shrink = (new_active < old_active).nonzero()[0]
                 for i in shrink:
                     cell = due[i]
                     counters[cell, new_active[i]:old_active[i]] = _INACTIVE
@@ -441,7 +497,7 @@ class BatchedSlottedSimulator:
                         # the next join: flush them as drops.
                         leave = np.arange(new_active[i], old_active[i])
                         arrivals.flush(np.full(leave.size, cell), leave)
-                grow = np.flatnonzero(new_active > old_active)
+                grow = (new_active > old_active).nonzero()[0]
                 if grow.size:
                     grow_cells = due[grow]
                     reps = new_active[grow] - old_active[grow]
@@ -471,11 +527,15 @@ class BatchedSlottedSimulator:
 
             # Start measuring at the warmup boundary: reset metrics and anchor
             # the reporting grid at the boundary itself (any overshoot counts
-            # against the first interval, as in the scalar simulator).
-            if not all_measuring:
+            # against the first interval, as in the scalar simulator).  Every
+            # measuring cell is already past the boundary, so a cell crosses
+            # only when more cells are past it than are measuring.
+            if (not all_measuring
+                    and np.count_nonzero(now >= warmup) > n_measuring):
                 cross = alive & ~measuring & (now >= warmup)
-                if cross.any():
+                if np.count_nonzero(cross):
                     measuring |= cross
+                    n_measuring = int(np.count_nonzero(measuring))
                     none_measuring = False
                     successes[cross] = 0
                     failures[cross] = 0
@@ -489,7 +549,7 @@ class BatchedSlottedSimulator:
                         retry_disc[cross] = 0
                     if interval:
                         report_at[cross] = interval - (now[cross] - warmup)
-                    all_measuring = bool(measuring.all())
+                    all_measuring = n_measuring == num_cells
 
             # Frame arrivals rejoin parked stations and refill queues; the
             # contention mask below is recomputed from the queue state.
@@ -498,20 +558,22 @@ class BatchedSlottedSimulator:
             # the cell's last slot overshot the horizon and of how long its
             # batch neighbours keep the loop alive (composition contract).
             if traffic is not None:
-                arrivals.advance(np.minimum(now, end_time),
-                                 st_range[None, :] < active[:, None])
-                contend = ((st_range[None, :] < active[:, None])
-                           & arrivals.has_frame())
+                present = st_range[None, :] < active[:, None]
+                arrivals.advance(np.minimum(now, end_time), present)
+                contend = present & arrivals.has_frame()
 
             # Idle fast-forward: advance by whole idle runs, but never past
             # the next tick, activity change, arrival, report boundary,
-            # warmup boundary or end of run.
+            # warmup boundary or end of run.  The counters themselves move
+            # once, together with the transmission decrement below.
             if traffic is None:
-                min_counter = counters.min(axis=1)
+                min_counter = np.minimum.reduce(counters, axis=1)
             else:
-                min_counter = np.where(contend, counters, _INACTIVE).min(axis=1)
+                min_counter = np.minimum.reduce(
+                    np.where(contend, counters, _INACTIVE), axis=1)
             idle = alive & (min_counter > 0)
-            if idle.any():
+            advance = None
+            if np.count_nonzero(idle):
                 bound = np.minimum(end_time, next_tick)
                 if traffic is not None:
                     np.minimum(bound, arrivals.next_min(), out=bound)
@@ -526,13 +588,9 @@ class BatchedSlottedSimulator:
                     np.minimum(bound, now + report_at, out=bound)
                 slots = np.ceil((bound - now) / sigma)
                 np.maximum(slots, 1.0, out=slots)
-                advance = np.where(
-                    idle, np.minimum(min_counter, slots.astype(np.int64)), 0
-                )
-                if traffic is None:
-                    counters -= advance[:, None]
-                else:
-                    counters -= np.where(contend, advance[:, None], 0)
+                advance = np.minimum(min_counter, slots.astype(np.int64))
+                advance *= idle
+                min_counter -= advance
                 now += advance * sigma
                 if tel_on:
                     t_idle_ffwd += 1
@@ -547,7 +605,7 @@ class BatchedSlottedSimulator:
                     if interval:
                         report_at -= measured * sigma
                         fire = measuring & idle & (report_at <= 0.0)
-                        if fire.any():
+                        if np.count_nonzero(fire):
                             sample_reports(fire)
 
             # Controller ticks close starved measurement segments; stations
@@ -555,36 +613,52 @@ class BatchedSlottedSimulator:
             # banks read them live at draw time.
             if tick:
                 due_tick = alive & (now >= next_tick)
-                if due_tick.any():
+                if np.count_nonzero(due_tick):
                     controller.on_tick(due_tick, now)
                     next_tick[due_tick] += tick
 
             # Transmissions: every cell whose minimum counter reached zero
             # resolves one busy virtual slot (success, collision or frame
             # error) this iteration.
-            if traffic is None:
-                min_counter = counters.min(axis=1)
-            else:
-                min_counter = np.where(contend, counters, _INACTIVE).min(axis=1)
             tx = (min_counter == 0) & (now < end_time)
-            if not tx.any():
-                continue
-            tx_col = tx[:, None]
-            if traffic is None:
-                transmitters = tx_col & (counters == 0)
-            else:
-                # A parked station may hold a counter of zero; only stations
+            transmitting = np.count_nonzero(tx)
+            step = advance
+            if transmitting:
+                # The transmitters are the stations of transmitting cells
+                # whose counter this iteration's advance brings to zero; a
+                # parked station may hold such a counter, so only stations
                 # with a queued frame transmit.
-                transmitters = tx_col & (counters == 0) & contend
-            num_tx = transmitters.sum(axis=1)
+                if advance is None:
+                    np.equal(counters, 0, out=tx_mask)
+                    step = tx
+                else:
+                    np.equal(counters, advance[:, None], out=tx_mask)
+                    step = advance + tx
+                tx_mask &= tx[:, None]
+                if traffic is not None:
+                    tx_mask &= contend
+            # Waiting stations count down once per virtual slot, busy or idle
+            # (Bianchi's renewal model): by the advance, plus one in a
+            # transmitting cell.  The transmitters are redrawn below, so the
+            # blanket decrement never leaves a stale negative counter
+            # behind.  Parked (empty-queue) stations freeze instead.
+            if step is not None:
+                if traffic is None:
+                    counters -= step[:, None]
+                else:
+                    np.subtract(counters, step[:, None], out=counters,
+                                where=contend)
+            if not transmitting:
+                continue
+            tx_flat = tx_mask_f.nonzero()[0]
+            tx_cell, tx_station = np.divmod(tx_flat, max_n)
+            num_tx = np.bincount(tx_cell, minlength=num_cells)
             single = num_tx == 1
             if tel_on:
                 t_busy += int(np.count_nonzero(tx))
-            if fer_on and single.any():
-                cells = np.flatnonzero(single)
-                counts = np.zeros(num_cells, dtype=np.int64)
-                counts[cells] = 1
-                base = streams.claim(counts)
+            if fer_on and np.count_nonzero(single):
+                cells = single.nonzero()[0]
+                base = streams.claim(single.astype(np.int64))
                 draw = streams.buffer[cells, base[cells]]
                 success = np.zeros(num_cells, dtype=bool)
                 success[cells[draw >= fer]] = True
@@ -595,110 +669,108 @@ class BatchedSlottedSimulator:
                 bank.observe_transmission(tx, idle_run)
                 idle_run[tx] = 0
             slot_duration = np.where(success, ts, tc)
-            busy_advance = slot_duration * tx
-            now += busy_advance
+            np.add(now, slot_duration, out=now, where=tx)
             if probe_bufs is not None:
-                probe_busy += busy_advance
+                np.add(probe_busy, slot_duration, out=probe_busy, where=tx)
             if not none_measuring:
                 tx_measured = tx if all_measuring else tx & measuring
                 busy_periods += tx_measured
                 if interval:
-                    report_at -= slot_duration * tx_measured
+                    np.subtract(report_at, slot_duration, out=report_at,
+                                where=tx_measured)
 
-            # Waiting stations count down once per virtual slot, busy or idle
-            # (Bianchi's renewal model); every station at zero in a
-            # transmitting cell is a transmitter and is redrawn below, so the
-            # blanket decrement never leaves a stale negative counter behind.
-            # Parked (empty-queue) stations freeze instead.
-            if traffic is None:
-                counters -= tx_col
-            else:
-                counters -= tx_col & contend
-
-            lose = tx & ~success
             if uniform_draws:
                 counts = num_tx
             else:
-                counts = success * k_succ + lose * num_tx * k_fail
+                counts = np.where(success, k_succ, num_tx * k_fail)
             base = streams.claim(counts)
-            winners = np.flatnonzero(success)
-            if winners.size:
-                winner_station = transmitters[winners].argmax(axis=1)
+            # Winners are the transmitters of succeeding cells; every other
+            # transmitter is in a losing cell and therefore a collider.
+            win = success[tx_cell]
+            n_win = np.count_nonzero(win)
+            if n_win:
+                win_flat = tx_flat[win]
+                winners = tx_cell[win]
+                winner_station = tx_station[win]
                 if traffic is not None:
                     # The delivered frame leaves the winner's FIFO (exact
                     # per-frame delay); an emptied winner parks via the
                     # contention mask on the next iteration.
                     arrivals.pop_success(winners, winner_station, now)
                 if all_measuring:
-                    successes[winners, winner_station] += 1
+                    successes_f[win_flat] += 1
                 elif not none_measuring:
-                    successes[winners, winner_station] += measuring[winners]
+                    successes_f[win_flat] += measuring[winners]
                 if interval and not none_measuring:
                     cum_bits[winners] += payload * measuring[winners]
                 if probe_bufs is not None:
-                    probe_bits[winners, winner_station] += payload
+                    probe_bits_f[win_flat] += payload
                 if adaptive:
                     controller.on_packet_received(success, now)
-                if retry_cnt is not None:
-                    retry_cnt[winners, winner_station] = 0
-                counters[winners, winner_station] = bank.success_draw(
+                if retry_f is not None:
+                    retry_f[win_flat] = 0
+                counters_f[win_flat] = bank.success_draw(
                     winners, winner_station,
                     streams.gather(winners, base[winners], k_succ),
                 )
-            if lose.any():
-                lose_rows = np.flatnonzero(lose)
-                colliding = transmitters[lose_rows]
-                row, station = np.nonzero(colliding)
-                cells = lose_rows[row]
+            if n_win < tx_flat.size:
+                lose = ~win
+                lose_flat = tx_flat[lose]
+                cells = tx_cell[lose]
+                station = tx_station[lose]
                 if not none_measuring:
-                    failures[cells, station] += measuring[cells]
-                rank = (np.cumsum(colliding, axis=1) - 1)[row, station]
+                    failures_f[lose_flat] += measuring[cells]
+                # Row-major order lists each cell's colliders in station
+                # order, so a collider's rank is its distance from the first
+                # transmitter of its cell.
+                rank = np.arange(cells.size) - cells.searchsorted(cells)
                 offsets = base[cells] + rank * k_fail
-                if retry_cnt is None:
-                    counters[cells, station] = bank.failure_draw(
-                        cells, station, streams.gather(cells, offsets, k_fail)
-                    )
-                else:
-                    # 802.11 retry limit: stations at the limit discard the
-                    # frame and reset their contention window (a success
-                    # draw); the rest take the normal failure draw at their
-                    # already-claimed offsets.  The extra success claim is a
-                    # deterministic function of each cell's own trajectory,
-                    # so composition independence is preserved (and the
-                    # claimed-but-unused failure uniforms of discarding
-                    # stations are simply dropped, which never moves another
-                    # cell's stream position).
-                    retry_cnt[cells, station] += 1
-                    disc = retry_cnt[cells, station] >= retry_limit
+                # 802.11 retry limit: stations at the limit discard the
+                # frame and reset their contention window (a success draw);
+                # the rest take the normal failure draw at their
+                # already-claimed offsets.  The extra success claim is a
+                # deterministic function of each cell's own trajectory, so
+                # composition independence is preserved (and the
+                # claimed-but-unused failure uniforms of discarding stations
+                # are simply dropped, which never moves another cell's
+                # stream position).
+                disc = None
+                keep_flat, kc, ks = lose_flat, cells, station
+                if retry_f is not None:
+                    attempts = retry_f[lose_flat] + 1
+                    retry_f[lose_flat] = attempts
+                    disc = attempts >= retry_limit
                     keep = ~disc
-                    kc, ks = cells[keep], station[keep]
-                    counters[kc, ks] = bank.failure_draw(
-                        kc, ks, streams.gather(kc, offsets[keep], k_fail)
+                    keep_flat, kc, ks = (lose_flat[keep], cells[keep],
+                                         station[keep])
+                    offsets = offsets[keep]
+                counters_f[keep_flat] = bank.failure_draw(
+                    kc, ks, streams.gather(kc, offsets, k_fail))
+                if disc is not None and np.count_nonzero(disc):
+                    dc, ds = cells[disc], station[disc]
+                    disc_flat = lose_flat[disc]
+                    retry_f[disc_flat] = 0
+                    if tel_on:
+                        t_discards += int(dc.size)
+                    if all_measuring:
+                        np.add.at(retry_disc, dc, 1)
+                    elif not none_measuring:
+                        np.add.at(retry_disc, dc,
+                                  measuring[dc].astype(np.int64))
+                    if traffic is not None:
+                        arrivals.pop_discard(dc, ds, now)
+                    counts2 = np.bincount(dc, minlength=num_cells) * k_succ
+                    base2 = streams.claim(counts2)
+                    drank = np.arange(dc.size) - dc.searchsorted(dc)
+                    counters_f[disc_flat] = bank.success_draw(
+                        dc, ds,
+                        streams.gather(dc, base2[dc] + drank * k_succ,
+                                       k_succ),
                     )
-                    if disc.any():
-                        dc, ds = cells[disc], station[disc]
-                        retry_cnt[dc, ds] = 0
-                        if tel_on:
-                            t_discards += int(np.count_nonzero(disc))
-                        if all_measuring:
-                            np.add.at(retry_disc, dc, 1)
-                        elif not none_measuring:
-                            np.add.at(retry_disc, dc,
-                                      measuring[dc].astype(np.int64))
-                        if traffic is not None:
-                            arrivals.pop_discard(dc, ds, now)
-                        counts2 = np.bincount(dc, minlength=num_cells) * k_succ
-                        base2 = streams.claim(counts2)
-                        drank = np.arange(dc.size) - np.searchsorted(dc, dc)
-                        counters[dc, ds] = bank.success_draw(
-                            dc, ds,
-                            streams.gather(dc, base2[dc] + drank * k_succ,
-                                           k_succ),
-                        )
 
             if interval and not none_measuring:
                 fire = tx_measured & (report_at <= 0.0)
-                if fire.any():
+                if np.count_nonzero(fire):
                     sample_reports(fire)
             if probe_bufs is not None:
                 probe_drain()
@@ -741,6 +813,7 @@ class BatchedSlottedSimulator:
                        ) -> List[SimulationResult]:
         payload = self._phy.payload_bits
         duration = self._duration
+        station_idle = self._bank.station_observed_idle()
         results = []
         for cell in range(self._n.size):
             stations = int(self._n[cell])
@@ -761,7 +834,6 @@ class BatchedSlottedSimulator:
             }
             if self._scheme_name is not None:
                 extra["scheme"] = self._scheme_name
-            station_idle = self._bank.station_observed_idle()
             if station_idle is not None and not math.isnan(station_idle[cell]):
                 extra["station_observed_idle"] = float(station_idle[cell])
             traffic_fields: Dict[str, object] = {}

@@ -371,6 +371,16 @@ class TestCellStreams:
         streams = CellStreams([1], block=8)
         with pytest.raises(ValueError):
             streams.claim(np.array([9], dtype=np.int64))
+        # A rejected claim leaves every stream unchanged, including cell 0,
+        # which would refill before cell 1's oversized count is seen.
+        streams = CellStreams([1, 2], block=8)
+        streams.claim(np.array([6, 1], dtype=np.int64))
+        buffer = streams.buffer.copy()
+        with pytest.raises(ValueError):
+            streams.claim(np.array([4, 9], dtype=np.int64))
+        assert np.array_equal(streams.buffer, buffer)
+        # A zero claim reports the positions the rejected claim found.
+        assert streams.claim(np.zeros(2, dtype=np.int64)).tolist() == [6, 1]
 
 
 def _schedule(steps):

@@ -49,12 +49,7 @@ from .runner import (
     default_executor,
     group_results,
     hidden_task,
-    make_connected_topology,
-    make_hidden_topology,
-    paper_scheme_factories,
     paper_scheme_specs,
-    run_scheme_connected,
-    run_scheme_on_topology,
 )
 from .table1 import run_table1
 from .table2 import PAPER_WEIGHTS, run_table2
@@ -122,11 +117,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRow",
     "average_throughput_mbps",
-    "make_connected_topology",
-    "make_hidden_topology",
-    "paper_scheme_factories",
-    "run_scheme_connected",
-    "run_scheme_on_topology",
     "run_table1",
     "PAPER_WEIGHTS",
     "run_table2",

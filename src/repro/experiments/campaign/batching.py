@@ -29,13 +29,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...phy.constants import PhyParameters
-from ...sim.batched import (
-    BatchedSlottedSimulator,
-    batchable_scheme,
-    make_batched_system,
-)
-from ...sim.conflict import BatchedConflictSimulator, stack_sensing_matrices
+from ...sim.batched import batchable_scheme, run_batched
+from ...sim.conflict import run_conflict
 from ...sim.dynamics import step_activity
 from ...sim.metrics import SimulationResult
 from .specs import RunTask
@@ -181,54 +176,29 @@ def execute_batch(tasks: Sequence[RunTask]) -> List[SimulationResult]:
         if batch_key(task) != key:
             raise ValueError("tasks in a batch must share a batch_key")
     first = tasks[0]
-    phy = first.phy or PhyParameters()
-    num_stations = [task.topology.num_stations for task in tasks]
     seeds = [task.seed for task in tasks]
+    shared = dict(
+        duration=first.duration,
+        warmup=first.warmup,
+        phy=first.phy,
+        frame_error_rate=first.frame_error_rate,
+        report_interval=first.report_interval,
+        traffic=first.traffic,
+    )
     if topology_fingerprint(first) == "connected":
-        policy_bank, controller_bank, scheme_name = make_batched_system(
-            first.scheme.kind, dict(first.scheme.params),
-            len(tasks), max(num_stations), phy,
-        )
-        simulator = BatchedSlottedSimulator(
-            policy_bank,
-            controller_bank,
-            num_stations=num_stations,
-            seeds=seeds,
-            duration=first.duration,
-            warmup=first.warmup,
-            phy=phy,
-            frame_error_rate=first.frame_error_rate,
-            report_interval=first.report_interval,
+        results = run_batched(
+            first.scheme.kind, first.scheme.params,
+            [task.topology.num_stations for task in tasks], seeds,
             activity=step_activity(first.activity) if first.activity else None,
-            scheme_name=scheme_name,
-            traffic=first.traffic,
+            **shared,
         )
     else:
-        policy_bank, controller_bank, scheme_name = make_batched_system(
-            first.scheme.kind, dict(first.scheme.params),
-            len(tasks), max(num_stations), phy,
-            station_observations=True,
-        )
-        sensing = stack_sensing_matrices(
-            [task.topology.build().sensing_matrix() for task in tasks],
-            max_stations=max(num_stations),
-        )
-        simulator = BatchedConflictSimulator(
-            policy_bank,
-            controller_bank,
-            sensing,
-            num_stations=num_stations,
-            seeds=seeds,
-            duration=first.duration,
-            warmup=first.warmup,
-            phy=phy,
-            frame_error_rate=first.frame_error_rate,
-            report_interval=first.report_interval,
-            scheme_name=scheme_name,
-            traffic=first.traffic,
+        results = run_conflict(
+            first.scheme.kind, first.scheme.params,
+            (task.topology.build() for task in tasks), seeds, **shared,
         )
     annotated = []
-    for task, result in zip(tasks, simulator.run()):
+    for task, result in zip(tasks, results):
         extra = dict(result.extra)
         extra["task_key"] = task.task_key()
         extra["seed"] = task.seed

@@ -50,6 +50,7 @@ import cProfile
 import dataclasses
 import math
 import os
+import signal
 import sys
 import time
 import traceback as traceback_module
@@ -265,6 +266,16 @@ def _execute_unit(tasks: Tuple[RunTask, ...], batched: bool, submitted: float,
         profile=stats_dict(profiler) if profiler is not None else None,
     )
     return results, report
+
+
+def _ignore_sigint() -> None:
+    """Pool-worker initializer: Ctrl-C is the parent's to handle.
+
+    A terminal sends SIGINT to the whole process group.  The parent drains
+    the in-flight units and then tears the pool down, so a worker keeps
+    working instead of dying with a ``KeyboardInterrupt`` traceback.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -927,7 +938,8 @@ class CampaignExecutor:
 
     # ------------------------------------------------------------------
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers)
+        return ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_ignore_sigint)
 
     def _backoff_s(self, attempts: int, key: str) -> float:
         """Exponential backoff with deterministic per-task jitter.

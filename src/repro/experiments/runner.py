@@ -2,61 +2,42 @@
 
 The runners all need the same few operations:
 
-* build the paper's topologies (ring of radius 8, or uniform disc of radius
-  16/20) for a given node count and seed;
 * describe one MAC-scheme-on-topology simulation as a declarative
   :class:`~repro.experiments.campaign.RunTask` (:func:`connected_task`,
   :func:`hidden_task`) so whole figures execute through a
   :class:`~repro.experiments.campaign.CampaignExecutor` — in parallel and
-  with result caching;
-* run one such cell directly (:func:`run_scheme_connected`,
-  :func:`run_scheme_on_topology`) for interactive/benchmark use;
+  with result caching (a single cell runs through
+  :func:`~repro.experiments.campaign.execute_task`);
 * average throughput over seeds and express results as plain rows that the
   reporting module can format.
 
 Keeping this logic in one place guarantees that every figure uses identical
-measurement methodology, whichever execution path it takes.
+measurement methodology.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..mac.schemes import Scheme
 from ..phy.constants import PhyParameters
-from ..sim.dynamics import ActivitySchedule
 from ..sim.metrics import SimulationResult
-from ..sim.simulation import WlanSimulation
-from ..sim.slotted import SlottedSimulator
-from ..topology.graph import ConnectivityGraph
-from ..topology.scenarios import fully_connected_scenario, hidden_node_scenario
 from ..traffic import ArrivalProcess
 from .campaign import CampaignExecutor, RunTask, SchemeSpec, TopologySpec
 from .config import ExperimentConfig
 
 __all__ = [
-    "SchemeFactory",
     "ExperimentRow",
     "ExperimentResult",
-    "make_connected_topology",
-    "make_hidden_topology",
-    "run_scheme_connected",
-    "run_scheme_on_topology",
     "average_throughput_mbps",
-    "paper_scheme_factories",
     "paper_scheme_specs",
     "connected_task",
     "hidden_task",
     "group_results",
     "default_executor",
 ]
-
-#: A callable producing a fresh Scheme (schemes hold mutable controllers, so
-#: each run needs its own instance).
-SchemeFactory = Callable[[], Scheme]
 
 
 @dataclass(frozen=True)
@@ -92,23 +73,6 @@ class ExperimentResult:
 
     def row_labels(self) -> List[str]:
         return [row.label for row in self.rows]
-
-
-# ----------------------------------------------------------------------
-# Topology construction
-# ----------------------------------------------------------------------
-def make_connected_topology(num_stations: int) -> ConnectivityGraph:
-    """The paper's fully connected placement (ring of radius 8)."""
-    return fully_connected_scenario(num_stations)
-
-
-def make_hidden_topology(num_stations: int, radius: float,
-                         seed: int) -> ConnectivityGraph:
-    """The paper's hidden-node placement (uniform disc of the given radius)."""
-    rng = np.random.default_rng(seed)
-    return hidden_node_scenario(
-        num_stations, rng, radius=radius, require_hidden_pairs=True
-    )
 
 
 # ----------------------------------------------------------------------
@@ -191,59 +155,6 @@ def group_results(
     return grouped
 
 
-# ----------------------------------------------------------------------
-# Simulation execution helpers
-# ----------------------------------------------------------------------
-def _durations_for(scheme: Scheme, config: ExperimentConfig) -> Tuple[float, float]:
-    return config.durations_for(scheme.adaptive)
-
-
-def run_scheme_connected(
-    scheme_factory: SchemeFactory,
-    num_stations: int,
-    config: ExperimentConfig,
-    seed: int,
-    phy: Optional[PhyParameters] = None,
-    activity: Optional[ActivitySchedule] = None,
-    report_interval: Optional[float] = None,
-) -> SimulationResult:
-    """Run a scheme on a fully connected network using the slotted simulator."""
-    scheme = scheme_factory()
-    duration, warmup = _durations_for(scheme, config)
-    simulator = SlottedSimulator(
-        scheme,
-        num_stations=num_stations,
-        phy=phy,
-        seed=seed,
-        activity=activity,
-        report_interval=report_interval,
-    )
-    return simulator.run(duration=duration, warmup=warmup)
-
-
-def run_scheme_on_topology(
-    scheme_factory: SchemeFactory,
-    topology: ConnectivityGraph,
-    config: ExperimentConfig,
-    seed: int,
-    phy: Optional[PhyParameters] = None,
-    activity: Optional[ActivitySchedule] = None,
-    report_interval: Optional[float] = None,
-) -> SimulationResult:
-    """Run a scheme on an arbitrary topology using the event-driven simulator."""
-    scheme = scheme_factory()
-    duration, warmup = _durations_for(scheme, config)
-    simulation = WlanSimulation(
-        scheme=scheme,
-        connectivity=topology,
-        phy=phy,
-        seed=seed,
-        activity=activity,
-        report_interval=report_interval,
-    )
-    return simulation.run(duration=duration, warmup=warmup)
-
-
 def average_throughput_mbps(results: Sequence[SimulationResult]) -> float:
     """Mean system throughput over repeated runs, in Mbps."""
     if not results:
@@ -252,33 +163,14 @@ def average_throughput_mbps(results: Sequence[SimulationResult]) -> float:
 
 
 # ----------------------------------------------------------------------
-# The paper's four schemes, as factories parameterised by the config
+# The paper's four schemes, parameterised by the config
 # ----------------------------------------------------------------------
-def paper_scheme_factories(config: ExperimentConfig,
-                           phy: Optional[PhyParameters] = None
-                           ) -> Dict[str, SchemeFactory]:
-    """Factories for the four schemes compared throughout the evaluation."""
-    from ..mac.schemes import (
-        idlesense_scheme,
-        standard_80211_scheme,
-        tora_csma_scheme,
-        wtop_csma_scheme,
-    )
-
-    return {
-        "Standard 802.11": lambda: standard_80211_scheme(phy),
-        "IdleSense": lambda: idlesense_scheme(phy),
-        "wTOP-CSMA": lambda: wtop_csma_scheme(phy, update_period=config.update_period),
-        "TORA-CSMA": lambda: tora_csma_scheme(phy, update_period=config.update_period),
-    }
-
-
 def paper_scheme_specs(config: ExperimentConfig) -> Dict[str, SchemeSpec]:
-    """Declarative counterparts of :func:`paper_scheme_factories`.
+    """The four schemes compared throughout the evaluation.
 
-    These build the same four schemes (the PHY is supplied by the task that
-    embeds the spec), but as picklable descriptors the campaign engine can
-    hash, cache and ship to worker processes.
+    The PHY is supplied by the task that embeds each spec; the specs are
+    picklable descriptors the campaign engine can hash, cache and ship to
+    worker processes.
     """
     return {
         "Standard 802.11": SchemeSpec.make("standard-802.11"),

@@ -18,9 +18,10 @@ Reproducibility contract
 Each cell owns a private ``numpy.random.Generator`` seeded with the cell's
 task seed (the same ``derive_seed`` values the campaign engine already
 uses).  Uniform variates are drawn in fixed-size blocks per cell
-(:class:`CellStreams`) and consumed in an order that is a deterministic
-function of *that cell's own trajectory* (station order within a slot,
-fixed draw counts per event kind — see :mod:`repro.mac.batched`).  As a
+(:class:`~repro.sim.ledger.CellStreams`) and consumed in an order that is a
+deterministic function of *that cell's own trajectory* (station order
+within a slot, fixed draw counts per event kind — see
+:mod:`repro.mac.batched`).  As a
 consequence a cell's results are bit-identical no matter which other cells
 share its batch — the property the campaign planner relies on to group
 tasks freely and that the Hypothesis suite checks.
@@ -32,6 +33,17 @@ streams are consumed in a different order.  Hidden-node topologies are out
 of scope for *this* renewal-slot simulator; the conflict-matrix simulator
 in :mod:`repro.sim.conflict` vectorizes those (with the scalar event-driven
 :mod:`repro.sim.simulation` as the cross-validation oracle).
+
+Books
+-----
+
+The per-cell books live in :mod:`repro.sim.ledger`, shared with the
+conflict-matrix kernel: the argument checks, random streams, arrival queues
+and retry counters, the measurement window (success and failure tallies,
+busy periods, report bits and time lines, the warm-up reset), the 802.11
+retry-limit discard, probe sampling and result assembly.  This module keeps
+the renewal contention logic and what depends on its slot clock: idle
+slots, the report countdown and activity changes.
 
 Cost per iteration
 ------------------
@@ -74,8 +86,6 @@ iteration:
 
 from __future__ import annotations
 
-import math
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,10 +106,10 @@ from ..mac.batched import (
 )
 from ..phy.constants import PhyParameters
 from ..telemetry import current as _telemetry
-from ..telemetry import probes as _probes
-from ..traffic import ArrivalProcess, BatchedArrivals
+from ..traffic import ArrivalProcess
 from .dynamics import ActivitySchedule
-from .metrics import SimulationResult, StationStats
+from .ledger import CellBatch, CellLedger, CellStreams
+from .metrics import SimulationResult
 
 __all__ = [
     "CellStreams",
@@ -115,76 +125,7 @@ __all__ = [
 _INACTIVE = np.int64(2) ** 62
 
 
-class CellStreams:
-    """Block-buffered per-cell uniform random streams.
-
-    Each cell gets its own :class:`numpy.random.Generator`; uniforms are drawn
-    a block at a time and handed out through :meth:`claim`, which reserves
-    ``counts[c]`` values per cell and returns the start offset of each cell's
-    reservation into :attr:`buffer`.  When a cell's reservation would overrun
-    its block, the *remainder of the block is discarded* and a fresh block is
-    drawn — wasteful but crucial: whether a refill happens depends only on the
-    cell's own consumption history, never on its batch neighbours.
-
-    For the same reason ``block`` may be a per-cell sequence but must always
-    be derived from each cell's *own* parameters (its station count, its
-    scheme), never from a batch-wide quantity such as the padded width —
-    otherwise refill points, and therefore results, would depend on batch
-    composition.  The backing buffer is rectangular (padded to the largest
-    block); only the per-cell logical block length governs refills.
-    """
-
-    def __init__(self, seeds: Sequence[int], block=4096) -> None:
-        blocks = np.broadcast_to(
-            np.asarray(block, dtype=np.int64), (len(seeds),)
-        ).copy()
-        if np.any(blocks < 1):
-            raise ValueError("block must be positive")
-        self._rngs = [np.random.default_rng(seed) for seed in seeds]
-        self._blocks = blocks
-        width = int(blocks.max())
-        self.buffer = np.zeros((len(seeds), width))
-        for cell, rng in enumerate(self._rngs):
-            self.buffer[cell, : blocks[cell]] = rng.random(int(blocks[cell]))
-        self._pos = np.zeros(len(self._rngs), dtype=np.int64)
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """Per-cell logical block lengths."""
-        return self._blocks.copy()
-
-    def claim(self, counts: np.ndarray) -> np.ndarray:
-        """Reserve ``counts[c]`` uniforms per cell; return per-cell offsets.
-
-        A claim larger than its cell's block raises before any cell is
-        refilled, so a rejected claim leaves every stream as it was.
-        """
-        new_pos = self._pos + counts
-        over = new_pos > self._blocks
-        if np.count_nonzero(over):
-            refill = over.nonzero()[0]
-            if np.count_nonzero(counts[refill] > self._blocks[refill]):
-                raise ValueError("claim exceeds the stream block size")
-            for cell in refill:
-                block = int(self._blocks[cell])
-                self.buffer[cell, :block] = self._rngs[int(cell)].random(block)
-                self._pos[cell] = 0
-            new_pos = self._pos + counts
-        base = self._pos
-        self._pos = new_pos
-        return base
-
-    def gather(self, cells: np.ndarray, offsets: np.ndarray,
-               width: int) -> np.ndarray:
-        """Gather ``width`` consecutive uniforms per (cell, offset) pair."""
-        if width == 1:
-            return self.buffer[cells, offsets][:, None]
-        return self.buffer[
-            cells[:, None], offsets[:, None] + np.arange(width)
-        ]
-
-
-class BatchedSlottedSimulator:
+class BatchedSlottedSimulator(CellBatch):
     """Vectorized virtual-slot simulator over a batch of connected cells.
 
     All cells share the scheme (policy/controller banks), PHY, durations,
@@ -215,6 +156,9 @@ class BatchedSlottedSimulator:
         — are untouched.
     """
 
+    _scope = "batched"
+    _result_tag = {"simulator": "batched"}
+
     def __init__(
         self,
         policy_bank: BatchedPolicyBank,
@@ -230,43 +174,14 @@ class BatchedSlottedSimulator:
         scheme_name: Optional[str] = None,
         traffic: Optional[ArrivalProcess] = None,
     ) -> None:
-        if len(num_stations) != len(seeds):
-            raise ValueError("num_stations and seeds must have equal length")
-        if not num_stations:
-            raise ValueError("a batch needs at least one cell")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
-        if report_interval is not None and report_interval <= 0:
-            raise ValueError("report_interval must be positive")
-        if not 0.0 <= frame_error_rate < 1.0:
-            raise ValueError("frame_error_rate must lie in [0, 1)")
-        self._n = np.asarray(num_stations, dtype=np.int64)
-        if np.any(self._n < 1):
-            raise ValueError("every cell needs at least one station")
+        super().__init__(policy_bank, controller_bank, num_stations, seeds,
+                         duration, warmup, phy, frame_error_rate,
+                         report_interval, scheme_name, traffic)
         if activity is not None and np.any(self._n < activity.max_active):
             raise ValueError(
                 "num_stations is smaller than the activity schedule's maximum"
             )
-        self._bank = policy_bank
-        self._controller = controller_bank
-        self._seeds = list(seeds)
-        self._duration = float(duration)
-        self._warmup = float(warmup)
-        self._phy = phy or PhyParameters()
-        self._fer = float(frame_error_rate)
-        self._interval = report_interval
         self._activity = activity
-        self._scheme_name = scheme_name
-        # The retry limit applies to the MAC regardless of workload, so it
-        # is lifted off the spec before the saturated process canonicalises
-        # to None (the bit-identical classic path).
-        self._retry_limit = (traffic.retry_limit if traffic is not None
-                             else None)
-        if traffic is not None and traffic.is_saturated:
-            traffic = None
-        self._traffic = traffic
 
     # ------------------------------------------------------------------
     def run(self) -> List[SimulationResult]:
@@ -277,10 +192,8 @@ class BatchedSlottedSimulator:
         sigma = phy.slot_time
         ts = phy.ts
         tc = phy.tc
-        payload = phy.payload_bits
         warmup = self._warmup
-        duration = self._duration
-        end_time = warmup + duration
+        end_time = warmup + self._duration
         interval = self._interval
         fer = self._fer
 
@@ -288,42 +201,16 @@ class BatchedSlottedSimulator:
         num_cells = n.size
         max_n = int(n.max())
         st_range = np.arange(max_n)
-        # Block sizes must depend on each cell's own station count only (not
-        # the batch-wide maximum): refill points are part of the cell's
-        # random-stream trajectory, and composition independence requires
-        # that trajectory to be a function of the cell alone.
-        draws = max(bank.draws_initial, bank.draws_success, bank.draws_failure)
-        blocks = np.maximum(4096, 8 * n * draws)
-        streams = CellStreams(self._seeds, block=blocks)
-        # Traffic state lives in its own per-cell salted streams, so the
-        # contention stream consumption below is identical whether or not
-        # the workload is saturated.
+        ledger = CellLedger(self, max_n)
+        streams = ledger.streams
         traffic = self._traffic
-        arrivals = (None if traffic is None
-                    else BatchedArrivals(traffic, self._seeds, n, max_n))
-        # MAC retry state: attempt counters per (cell, station) plus the
-        # per-cell discard tally.  None under the default infinite-retry
-        # policy, whose stream consumption must stay bit-identical.
-        retry_limit = self._retry_limit
-        if retry_limit is not None:
-            retry_cnt = np.zeros((num_cells, max_n), dtype=np.int64)
-            retry_disc = np.zeros(num_cells, dtype=np.int64)
-        else:
-            retry_cnt = retry_disc = None
+        arrivals = ledger.arrivals
 
         # Station state: counters start at the policy's initial draw for every
         # existing station (the scalar simulator draws for all N policies up
         # front too); stations beyond the initial active count are parked at
         # the sentinel and redraw when an activity change activates them.
-        counters = np.full((num_cells, max_n), _INACTIVE, dtype=np.int64)
-        exists = st_range[None, :] < n[:, None]
-        init_cells, init_stations = np.nonzero(exists)
-        k_init = bank.draws_initial
-        base = streams.claim(n * k_init)
-        offsets = base[init_cells] + init_stations * k_init
-        counters[init_cells, init_stations] = bank.initial_draw(
-            init_cells, init_stations, streams.gather(init_cells, offsets, k_init)
-        )
+        counters = ledger.initial_backoffs(_INACTIVE)
         if self._activity is not None:
             active = np.full(num_cells, self._activity.active_count(0.0),
                              dtype=np.int64)
@@ -331,20 +218,15 @@ class BatchedSlottedSimulator:
             active = n.copy()
         counters[st_range[None, :] >= active[:, None]] = _INACTIVE
 
-        # Per-cell clocks, measurement state and metrics.
+        # Per-cell clocks and the kernel's own measurement state: idle slots
+        # and the report countdown (the rest of the books are the ledger's).
         now = np.zeros(num_cells)
-        measuring = np.full(num_cells, warmup == 0.0)
-        n_measuring = num_cells if warmup == 0.0 else 0
+        measuring = ledger.measuring
+        n_measuring = ledger.n_measuring
+        busy_periods = ledger.busy_periods
         idle_run = np.zeros(num_cells, dtype=np.int64)
-        successes = np.zeros((num_cells, max_n), dtype=np.int64)
-        failures = np.zeros((num_cells, max_n), dtype=np.int64)
         idle_slots = np.zeros(num_cells, dtype=np.int64)
-        busy_periods = np.zeros(num_cells, dtype=np.int64)
-        cum_bits = np.zeros(num_cells, dtype=np.int64)
-        bits_last = np.zeros(num_cells, dtype=np.int64)
         report_at = np.full(num_cells, interval if interval else np.inf)
-        throughput_tl: List[List[Tuple[float, float]]] = [[] for _ in range(num_cells)]
-        control_tl: List[List[Tuple[float, float]]] = [[] for _ in range(num_cells)]
 
         tick = controller.tick_interval
         next_tick = np.full(num_cells, tick if tick else np.inf)
@@ -374,30 +256,15 @@ class BatchedSlottedSimulator:
         fer_on = fer > 0.0
         # Phase flags let the hot loop skip measurement bookkeeping before the
         # warm-up boundary and per-cell masking after every cell crossed it.
-        none_measuring = n_measuring == 0
-        all_measuring = n_measuring == num_cells
+        none_measuring = ledger.none_measuring
+        all_measuring = ledger.all_measuring
 
         # Flat views of the per-station state: station ``s`` of cell ``c`` is
         # index ``c * max_n + s`` (see "Cost per iteration" in the module
         # docstring).
         counters_f = counters.reshape(-1)
-        successes_f = successes.reshape(-1)
-        failures_f = failures.reshape(-1)
-        retry_f = None if retry_cnt is None else retry_cnt.reshape(-1)
         tx_mask = np.empty((num_cells, max_n), dtype=bool)
         tx_mask_f = tx_mask.reshape(-1)
-
-        def sample_reports(fire: np.ndarray) -> None:
-            """Record timeline samples; refresh countdowns (deficit-credited)."""
-            cells = fire.nonzero()[0]
-            primary = controller.primary_control()
-            for cell in cells:
-                delta = int(cum_bits[cell] - bits_last[cell])
-                throughput_tl[cell].append((float(now[cell]), delta / interval))
-                if primary is not None:
-                    control_tl[cell].append((float(now[cell]), float(primary[cell])))
-                bits_last[cell] = cum_bits[cell]
-            report_at[cells] += interval
 
         # Loop-level telemetry: counters are plain ints accumulated behind a
         # hoisted enabled flag (one branch per iteration when disabled) and
@@ -405,25 +272,21 @@ class BatchedSlottedSimulator:
         # telemetry on or off.
         tel = _telemetry()
         tel_on = tel.enabled
-        t_iterations = t_idle_ffwd = t_slots = t_busy = t_discards = 0
+        t_iterations = t_idle_ffwd = t_slots = t_busy = 0
 
-        # Simulator probes: per-cell boundary grids sampled retroactively
-        # after each time advance.  The snapshot reads bank/controller state
-        # only (never a random stream) and the probe boundaries never enter
-        # the fast-forward bound, so the trajectory is unchanged.
-        probe = _probes.current()
-        probe_bufs: Optional[List[_probes.ProbeBuffer]] = None
-        if probe is not None:
-            probe_interval = probe.interval
-            probe_bufs = [_probes.ProbeBuffer(probe.capacity)
-                          for _ in range(num_cells)]
-            probe_next = np.full(num_cells, probe_interval)
-            probe_t0 = time.time()
-            probe_bits = np.zeros((num_cells, max_n), dtype=np.int64)
-            probe_bits_f = probe_bits.reshape(-1)
-            probe_bits_prev = np.zeros((num_cells, max_n), dtype=np.int64)
+        # Probe boundaries are sampled retroactively after each time advance
+        # and never enter the fast-forward bound, so the trajectory is
+        # unchanged.  The channel busy time of each probe window is the
+        # kernel's to keep.
+        probes = ledger.probes
+        if probes is not None:
             probe_busy = np.zeros(num_cells)
             probe_countdown = 0
+
+            def busy_frac(cell: int, boundary) -> float:
+                frac = probe_busy[cell] / probes.interval
+                probe_busy[cell] = 0.0
+                return frac
 
             def probe_drain(force: bool = False) -> None:
                 # Boundaries are half a second apart while the loop iterates
@@ -436,41 +299,7 @@ class BatchedSlottedSimulator:
                 if probe_countdown > 0 and not force:
                     return
                 probe_countdown = 4
-                due_mask = now >= probe_next
-                if not np.count_nonzero(due_mask):
-                    return
-                due = due_mask.nonzero()[0]
-                bank_state = bank.probe_state()
-                ctrl_state = controller.probe_state()
-                queues = (arrivals.queue_lengths
-                          if arrivals is not None else None)
-                for cell in due:
-                    cell = int(cell)
-                    stations = int(n[cell])
-                    while now[cell] >= probe_next[cell]:
-                        values = _probes.flatten_bank_state(
-                            bank_state, cell, stations)
-                        values.update(_probes.flatten_bank_state(
-                            ctrl_state, cell, stations))
-                        delta = probe_bits[cell] - probe_bits_prev[cell]
-                        for i in range(stations):
-                            values[f"tput_mbps[{i}]"] = (
-                                delta[i] / probe_interval / 1e6
-                            )
-                        values["throughput_mbps"] = (
-                            int(delta[:stations].sum()) / probe_interval / 1e6
-                        )
-                        values["busy_frac"] = (
-                            probe_busy[cell] / probe_interval
-                        )
-                        if queues is not None:
-                            for i in range(stations):
-                                values[f"queue[{i}]"] = float(queues[cell, i])
-                        probe_bufs[cell].sample(float(probe_next[cell]),
-                                                values)
-                        probe_bits_prev[cell] = probe_bits[cell]
-                        probe_busy[cell] = 0.0
-                        probe_next[cell] += probe_interval
+                probes.drain(now, busy_frac)
 
         while True:
             alive = now < end_time
@@ -534,22 +363,13 @@ class BatchedSlottedSimulator:
                     and np.count_nonzero(now >= warmup) > n_measuring):
                 cross = alive & ~measuring & (now >= warmup)
                 if np.count_nonzero(cross):
-                    measuring |= cross
-                    n_measuring = int(np.count_nonzero(measuring))
+                    ledger.start_measuring(cross)
+                    n_measuring = ledger.n_measuring
                     none_measuring = False
-                    successes[cross] = 0
-                    failures[cross] = 0
+                    all_measuring = ledger.all_measuring
                     idle_slots[cross] = 0
-                    busy_periods[cross] = 0
-                    cum_bits[cross] = 0
-                    bits_last[cross] = 0
-                    if traffic is not None:
-                        arrivals.reset_measurement(cross)
-                    if retry_disc is not None:
-                        retry_disc[cross] = 0
                     if interval:
                         report_at[cross] = interval - (now[cross] - warmup)
-                    all_measuring = n_measuring == num_cells
 
             # Frame arrivals rejoin parked stations and refill queues; the
             # contention mask below is recomputed from the queue state.
@@ -595,7 +415,7 @@ class BatchedSlottedSimulator:
                 if tel_on:
                     t_idle_ffwd += 1
                     t_slots += int(advance.sum())
-                if probe_bufs is not None:
+                if probes is not None:
                     probe_drain()
                 if observes:
                     idle_run += advance
@@ -606,7 +426,8 @@ class BatchedSlottedSimulator:
                         report_at -= measured * sigma
                         fire = measuring & idle & (report_at <= 0.0)
                         if np.count_nonzero(fire):
-                            sample_reports(fire)
+                            ledger.report(fire, now)
+                            report_at[fire] += interval
 
             # Controller ticks close starved measurement segments; stations
             # pick the refreshed control values up automatically because the
@@ -670,7 +491,7 @@ class BatchedSlottedSimulator:
                 idle_run[tx] = 0
             slot_duration = np.where(success, ts, tc)
             np.add(now, slot_duration, out=now, where=tx)
-            if probe_bufs is not None:
+            if probes is not None:
                 np.add(probe_busy, slot_duration, out=probe_busy, where=tx)
             if not none_measuring:
                 tx_measured = tx if all_measuring else tx & measuring
@@ -692,87 +513,28 @@ class BatchedSlottedSimulator:
                 win_flat = tx_flat[win]
                 winners = tx_cell[win]
                 winner_station = tx_station[win]
-                if traffic is not None:
-                    # The delivered frame leaves the winner's FIFO (exact
-                    # per-frame delay); an emptied winner parks via the
-                    # contention mask on the next iteration.
-                    arrivals.pop_success(winners, winner_station, now)
-                if all_measuring:
-                    successes_f[win_flat] += 1
-                elif not none_measuring:
-                    successes_f[win_flat] += measuring[winners]
-                if interval and not none_measuring:
-                    cum_bits[winners] += payload * measuring[winners]
-                if probe_bufs is not None:
-                    probe_bits_f[win_flat] += payload
+                # The delivered frame leaves the winner's FIFO; an emptied
+                # winner parks via the contention mask on the next iteration.
+                ledger.delivered(win_flat, winners, winner_station, now)
                 if adaptive:
                     controller.on_packet_received(success, now)
-                if retry_f is not None:
-                    retry_f[win_flat] = 0
                 counters_f[win_flat] = bank.success_draw(
                     winners, winner_station,
                     streams.gather(winners, base[winners], k_succ),
                 )
             if n_win < tx_flat.size:
-                lose = ~win
-                lose_flat = tx_flat[lose]
-                cells = tx_cell[lose]
-                station = tx_station[lose]
-                if not none_measuring:
-                    failures_f[lose_flat] += measuring[cells]
                 # Row-major order lists each cell's colliders in station
-                # order, so a collider's rank is its distance from the first
-                # transmitter of its cell.
-                rank = np.arange(cells.size) - cells.searchsorted(cells)
-                offsets = base[cells] + rank * k_fail
-                # 802.11 retry limit: stations at the limit discard the
-                # frame and reset their contention window (a success draw);
-                # the rest take the normal failure draw at their
-                # already-claimed offsets.  The extra success claim is a
-                # deterministic function of each cell's own trajectory, so
-                # composition independence is preserved (and the
-                # claimed-but-unused failure uniforms of discarding stations
-                # are simply dropped, which never moves another cell's
-                # stream position).
-                disc = None
-                keep_flat, kc, ks = lose_flat, cells, station
-                if retry_f is not None:
-                    attempts = retry_f[lose_flat] + 1
-                    retry_f[lose_flat] = attempts
-                    disc = attempts >= retry_limit
-                    keep = ~disc
-                    keep_flat, kc, ks = (lose_flat[keep], cells[keep],
-                                         station[keep])
-                    offsets = offsets[keep]
-                counters_f[keep_flat] = bank.failure_draw(
-                    kc, ks, streams.gather(kc, offsets, k_fail))
-                if disc is not None and np.count_nonzero(disc):
-                    dc, ds = cells[disc], station[disc]
-                    disc_flat = lose_flat[disc]
-                    retry_f[disc_flat] = 0
-                    if tel_on:
-                        t_discards += int(dc.size)
-                    if all_measuring:
-                        np.add.at(retry_disc, dc, 1)
-                    elif not none_measuring:
-                        np.add.at(retry_disc, dc,
-                                  measuring[dc].astype(np.int64))
-                    if traffic is not None:
-                        arrivals.pop_discard(dc, ds, now)
-                    counts2 = np.bincount(dc, minlength=num_cells) * k_succ
-                    base2 = streams.claim(counts2)
-                    drank = np.arange(dc.size) - dc.searchsorted(dc)
-                    counters_f[disc_flat] = bank.success_draw(
-                        dc, ds,
-                        streams.gather(dc, base2[dc] + drank * k_succ,
-                                       k_succ),
-                    )
+                # order, as the ledger's rank rule requires.
+                lose = ~win
+                ledger.redraw_losers(tx_flat[lose], tx_cell[lose],
+                                     tx_station[lose], base, counters_f, now)
 
             if interval and not none_measuring:
                 fire = tx_measured & (report_at <= 0.0)
                 if np.count_nonzero(fire):
-                    sample_reports(fire)
-            if probe_bufs is not None:
+                    ledger.report(fire, now)
+                    report_at[fire] += interval
+            if probes is not None:
                 probe_drain()
 
         if traffic is not None:
@@ -783,77 +545,18 @@ class BatchedSlottedSimulator:
             arrivals.advance(np.minimum(now, end_time),
                              st_range[None, :] < active[:, None])
         if tel_on:
-            tel.counters("batched", {
+            tel.counters(self._scope, {
                 "loop_iterations": t_iterations,
                 "idle_fast_forwards": t_idle_ffwd,
                 "idle_slots_advanced": t_slots,
                 "busy_slots": t_busy,
-                "retry_discards": t_discards,
+                "retry_discards": ledger.discards,
                 "cells": num_cells,
                 "max_stations": max_n,
             })
-        if probe_bufs is not None:
+        if probes is not None:
             probe_drain(force=True)
-            for cell in range(num_cells):
-                record = _probes.probe_record(
-                    "batched", probe_bufs[cell], probe, probe_t0,
-                    seed=self._seeds[cell], cell=cell,
-                )
-                if record is not None:
-                    tel.emit(record)
-        return self._build_results(successes, failures, idle_slots, busy_periods,
-                                   throughput_tl, control_tl, arrivals,
-                                   retry_disc)
-
-    # ------------------------------------------------------------------
-    def _build_results(self, successes, failures, idle_slots, busy_periods,
-                       throughput_tl, control_tl,
-                       arrivals: Optional[BatchedArrivals] = None,
-                       retry_disc: Optional[np.ndarray] = None,
-                       ) -> List[SimulationResult]:
-        payload = self._phy.payload_bits
-        duration = self._duration
-        station_idle = self._bank.station_observed_idle()
-        results = []
-        for cell in range(self._n.size):
-            stations = int(self._n[cell])
-            stats = tuple(
-                StationStats(
-                    station=i,
-                    successes=int(successes[cell, i]),
-                    failures=int(failures[cell, i]),
-                    payload_bits=int(successes[cell, i]) * payload,
-                    throughput_bps=int(successes[cell, i]) * payload / duration,
-                )
-                for i in range(stations)
-            )
-            extra: Dict[str, object] = {
-                "simulator": "batched",
-                "num_stations": stations,
-                "warmup": self._warmup,
-            }
-            if self._scheme_name is not None:
-                extra["scheme"] = self._scheme_name
-            if station_idle is not None and not math.isnan(station_idle[cell]):
-                extra["station_observed_idle"] = float(station_idle[cell])
-            traffic_fields: Dict[str, object] = {}
-            if arrivals is not None:
-                traffic_fields = arrivals.annotate_result(cell, stations, extra)
-            if retry_disc is not None:
-                traffic_fields["retry_discards"] = int(retry_disc[cell])
-            results.append(SimulationResult(
-                duration=duration,
-                station_stats=stats,
-                total_throughput_bps=int(successes[cell, :stations].sum())
-                * payload / duration,
-                idle_slots=int(idle_slots[cell]),
-                busy_periods=int(busy_periods[cell]),
-                throughput_timeline=tuple(throughput_tl[cell]),
-                control_timeline=tuple(control_tl[cell]),
-                extra=extra,
-                **traffic_fields,
-            ))
-        return results
+        return ledger.results(idle_slots, tel)
 
 
 # ----------------------------------------------------------------------

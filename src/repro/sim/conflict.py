@@ -38,7 +38,7 @@ Reproducibility contract
 ------------------------
 
 Identical to :class:`~repro.sim.batched.BatchedSlottedSimulator`: each cell
-owns a block-buffered :class:`~repro.sim.batched.CellStreams` generator, and
+owns a block-buffered :class:`~repro.sim.ledger.CellStreams` generator, and
 uniforms are consumed in an order that is a deterministic function of that
 cell's own trajectory (fixed draw counts per event kind, fixed category
 order inside an event instant, station order within a category).  A cell's
@@ -48,6 +48,18 @@ batch — topologies and station counts may differ freely inside one batch.
 Results are statistically equivalent to :class:`repro.sim.simulation
 .WlanSimulation` (the cross-validation oracle) but not bit-identical to it:
 the random streams are consumed in a different order.
+
+Books
+-----
+
+The per-cell books live in :mod:`repro.sim.ledger`, shared with the renewal
+kernel: the argument checks, random streams, arrival queues and retry
+counters, the measurement window (success and failure tallies, busy
+periods, report bits and time lines, the warm-up reset), the 802.11
+retry-limit discard, probe sampling and result assembly.  This module keeps
+the contention logic and what depends on its nanosecond clock: channel
+occupancy (busy time and the Table III idle-slot accounting), the
+measurement marks (``next_mark``) and the eager ACK.
 
 Cost per event instant
 ----------------------
@@ -85,19 +97,17 @@ so its layout minimises the number and the cost of numpy calls per instant:
 
 from __future__ import annotations
 
-import math
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..phy.constants import NS_PER_SECOND, PhyParameters, seconds_to_ns
 from ..telemetry import current as _telemetry
-from ..telemetry import probes as _probes
 from ..topology.graph import ConnectivityGraph
-from ..traffic import ArrivalProcess, BatchedArrivals
-from .batched import CellStreams, batchable_scheme, make_batched_system
-from .metrics import SimulationResult, StationStats
+from ..traffic import ArrivalProcess
+from .batched import make_batched_system
+from .ledger import CellBatch, CellLedger
+from .metrics import SimulationResult
 
 __all__ = [
     "BatchedConflictSimulator",
@@ -146,7 +156,7 @@ def stack_sensing_matrices(
     return stacked
 
 
-class BatchedConflictSimulator:
+class BatchedConflictSimulator(CellBatch):
     """Vectorized event-jump simulator over a batch of sensing-graph cells.
 
     All cells share the scheme (policy/controller banks), PHY, durations,
@@ -183,6 +193,9 @@ class BatchedConflictSimulator:
         independence are untouched.
     """
 
+    _scope = "conflict"
+    _result_tag = {"simulator": "batched", "backend": "conflict-matrix"}
+
     def __init__(
         self,
         policy_bank,
@@ -198,21 +211,9 @@ class BatchedConflictSimulator:
         scheme_name: Optional[str] = None,
         traffic: Optional[ArrivalProcess] = None,
     ) -> None:
-        if len(num_stations) != len(seeds):
-            raise ValueError("num_stations and seeds must have equal length")
-        if not num_stations:
-            raise ValueError("a batch needs at least one cell")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        if warmup < 0:
-            raise ValueError("warmup must be non-negative")
-        if report_interval is not None and report_interval <= 0:
-            raise ValueError("report_interval must be positive")
-        if not 0.0 <= frame_error_rate < 1.0:
-            raise ValueError("frame_error_rate must lie in [0, 1)")
-        self._n = np.asarray(num_stations, dtype=np.int64)
-        if np.any(self._n < 1):
-            raise ValueError("every cell needs at least one station")
+        super().__init__(policy_bank, controller_bank, num_stations, seeds,
+                         duration, warmup, phy, frame_error_rate,
+                         report_interval, scheme_name, traffic)
         sensing = np.asarray(sensing, dtype=bool)
         if sensing.ndim != 3 or sensing.shape[1] != sensing.shape[2]:
             raise ValueError("sensing must have shape (cells, S, S)")
@@ -232,7 +233,6 @@ class BatchedConflictSimulator:
         diag = np.arange(sensing.shape[1])
         sensing[:, diag, diag] = False
         self._sensing = sensing
-        self._bank = policy_bank
         if policy_bank.observes_channel and not getattr(
                 policy_bank, "per_station_observations", False):
             raise ValueError(
@@ -246,20 +246,6 @@ class BatchedConflictSimulator:
                 "the policy bank's (cells, stations) shape must match the "
                 "sensing matrices (observations use flat station indices)"
             )
-        self._controller = controller_bank
-        self._seeds = list(seeds)
-        self._duration = float(duration)
-        self._warmup = float(warmup)
-        self._phy = phy or PhyParameters()
-        self._fer = float(frame_error_rate)
-        self._interval = report_interval
-        self._scheme_name = scheme_name
-        # The retry limit outlives the saturated -> None canonicalisation:
-        # bounded retries are orthogonal to the arrival process.
-        self._retry_limit = traffic.retry_limit if traffic is not None else None
-        if traffic is not None and traffic.is_saturated:
-            traffic = None
-        self._traffic = traffic
 
     # ------------------------------------------------------------------
     def run(self) -> List[SimulationResult]:
@@ -272,7 +258,6 @@ class BatchedConflictSimulator:
         sifs = np.int64(phy.sifs_ns)
         data_ns = np.int64(phy.data_tx_time_ns)
         ack_ns = np.int64(phy.ack_tx_time_ns)
-        payload = phy.payload_bits
         warmup_ns = np.int64(seconds_to_ns(self._warmup))
         end_ns = np.int64(seconds_to_ns(self._warmup + self._duration))
         interval = self._interval
@@ -283,23 +268,19 @@ class BatchedConflictSimulator:
         n = self._n
         num_cells = n.size
         max_n = int(self._sensing.shape[1])
-        st_range = np.arange(max_n)
-        exists = st_range[None, :] < n[:, None]
+        ledger = CellLedger(self, max_n, scale=NS_PER_SECOND)
+        streams = ledger.streams
+        traffic = self._traffic
+        arrivals = ledger.arrivals
+        exists = ledger.exists
         # Carrier sense is a float32 batched matrix-vector product, which
         # numpy hands to BLAS (bool matmul is unsupported and integer matmul
         # is not BLAS).  It is exact: every partial sum is an integer count
         # of at most S transmitters, far below float32's 2^24 integer line.
         sense_f32 = self._sensing.astype(np.float32)
 
-        k_init = bank.draws_initial
         k_succ = bank.draws_success
         k_fail = bank.draws_failure
-        draws = max(k_init, k_succ, k_fail)
-        # Block sizes depend on each cell's own parameters only — refill
-        # points are part of the cell's random-stream trajectory (see
-        # CellStreams).
-        blocks = np.maximum(4096, 8 * n * draws)
-        streams = CellStreams(self._seeds, block=blocks)
         observes = bank.observes_channel
         adaptive = controller.primary_control() is not None or (
             controller.tick_interval is not None
@@ -315,7 +296,6 @@ class BatchedConflictSimulator:
         # view (suffix ``_f``) for per-station updates by flat index, and
         # ``start_at``/``tx_end`` are the two planes of one schedule array
         # (see the module docstring).
-        remaining = np.zeros((num_cells, max_n), dtype=np.int64)
         counter_start = np.full((num_cells, max_n), _NEVER, dtype=np.int64)
         schedule = np.full((2, num_cells, max_n), _NEVER, dtype=np.int64)
         start_at, tx_end = schedule
@@ -329,7 +309,6 @@ class BatchedConflictSimulator:
         hits = np.zeros((2, num_cells, max_n), dtype=bool)
         starting_f = hits[0].reshape(-1)
         ending_f = hits[1].reshape(-1)
-        remaining_f = remaining.reshape(-1)
         counter_f = counter_start.reshape(-1)
         start_f = start_at.reshape(-1)
         end_f = tx_end.reshape(-1)
@@ -343,31 +322,10 @@ class BatchedConflictSimulator:
         succ_counts = np.zeros(num_cells, dtype=np.int64)
         gap = np.zeros(num_cells, dtype=np.int64)
 
-        # Traffic state lives in its own per-cell salted streams, so the
-        # contention stream consumption is identical whether or not the
-        # workload is saturated.
-        traffic = self._traffic
-        arrivals = (None if traffic is None
-                    else BatchedArrivals(traffic, self._seeds, n, max_n))
-
-        # Bounded-retry state (allocated only when a limit is configured, so
-        # the default infinite-retry path is untouched).
-        retry_limit = self._retry_limit
-        if retry_limit is not None:
-            retry_f = np.zeros(num_cells * max_n, dtype=np.int64)
-            retry_disc = np.zeros(num_cells, dtype=np.int64)
-        else:
-            retry_f = None
-            retry_disc = None
-
         # Initial backoffs for every station; everyone then waits DIFS from
         # t = 0, exactly like freshly activated StationProcess instances.
-        init_cells, init_st = np.nonzero(exists)
-        base = streams.claim(n * k_init)
-        offsets = base[init_cells] + init_st * k_init
-        remaining[init_cells, init_st] = bank.initial_draw(
-            init_cells, init_st, streams.gather(init_cells, offsets, k_init)
-        )
+        remaining = ledger.initial_backoffs(0)
+        remaining_f = remaining.reshape(-1)
         counter_start[exists] = difs
         start_at[exists] = difs + remaining[exists] * sigma
         if traffic is not None:
@@ -379,26 +337,14 @@ class BatchedConflictSimulator:
             counter_start[park] = _NEVER
             start_at[park] = _NEVER
 
-        # Per-cell clocks, metrics and channel-occupancy accounting.
+        # Per-cell clocks and channel-occupancy accounting (the rest of the
+        # books are the ledger's).
         now = np.zeros(num_cells, dtype=np.int64)
-        measuring = np.full(num_cells, self._warmup == 0.0)
-        all_measuring = bool(measuring.all())
-        successes = np.zeros((num_cells, max_n), dtype=np.int64)
-        failures = np.zeros((num_cells, max_n), dtype=np.int64)
-        successes_f = successes.reshape(-1)
-        failures_f = failures.reshape(-1)
+        measuring = ledger.measuring
+        busy_periods = ledger.busy_periods
         active_cnt = np.zeros(num_cells, dtype=np.int64)
         busy_since = np.zeros(num_cells, dtype=np.int64)
         busy_total = np.zeros(num_cells, dtype=np.int64)
-        busy_periods = np.zeros(num_cells, dtype=np.int64)
-        cum_bits = np.zeros(num_cells, dtype=np.int64)
-        bits_last = np.zeros(num_cells, dtype=np.int64)
-        throughput_tl: List[List[Tuple[float, float]]] = [
-            [] for _ in range(num_cells)
-        ]
-        control_tl: List[List[Tuple[float, float]]] = [
-            [] for _ in range(num_cells)
-        ]
         # ``next_mark`` is the next measurement boundary: the warm-up
         # crossing first, then every reporting instant (exact times, so no
         # countdown-deficit bookkeeping is needed).
@@ -416,7 +362,8 @@ class BatchedConflictSimulator:
         # the warm-up boundary (the bulk of every adaptive run).  The state
         # machines themselves (claims, draws, controller updates, the eager
         # ACK scheduling) always run — only metric recording is gated.
-        none_measuring = not measuring.any()
+        none_measuring = ledger.none_measuring
+        all_measuring = ledger.all_measuring
         ack_skip = np.int64(ack_ns + difs)
         any_resume = False
 
@@ -427,71 +374,27 @@ class BatchedConflictSimulator:
         # product, so its work is tracked as ``recomputes x cells x S^2``.
         tel = _telemetry()
         tel_on = tel.enabled
-        t_iterations = t_starts = t_ends = t_sense = t_discards = 0
+        t_iterations = t_starts = t_ends = t_sense = 0
 
-        # Simulator probes: boundaries are drained right after each event
-        # jump, *before* the instant's events are processed, so each sample
-        # sees the state the cell carried across the boundary.  Probe
-        # boundaries never enter the jump minimum and the channel-busy
-        # bookkeeping below is kept separate from the warm-up-reset
-        # measurement accounting, so trajectories are unchanged.
-        probe = _probes.current()
-        probe_bufs: Optional[List[_probes.ProbeBuffer]] = None
-        if probe is not None:
-            probe_interval_ns = np.int64(seconds_to_ns(probe.interval))
-            probe_bufs = [_probes.ProbeBuffer(probe.capacity)
-                          for _ in range(num_cells)]
-            probe_next = np.full(num_cells, probe_interval_ns, dtype=np.int64)
-            probe_t0 = time.time()
-            probe_bits = np.zeros((num_cells, max_n), dtype=np.int64)
-            probe_bits_f = probe_bits.reshape(-1)
-            probe_bits_prev = np.zeros((num_cells, max_n), dtype=np.int64)
+        # Probe boundaries are drained right after each event jump, *before*
+        # the instant's events are processed, so each sample sees the state
+        # the cell carried across the boundary.  The channel-busy time of
+        # the probe windows is kept apart from the warm-up-reset measurement
+        # accounting.
+        probes = ledger.probes
+        if probes is not None:
             p_busy_since = np.zeros(num_cells, dtype=np.int64)
             p_busy_total = np.zeros(num_cells, dtype=np.int64)
             p_busy_snap = np.zeros(num_cells, dtype=np.int64)
+            p_interval = float(probes.interval)
 
-            def probe_drain() -> None:
-                due_mask = now >= probe_next
-                if not np.count_nonzero(due_mask):
-                    return
-                due = np.flatnonzero(due_mask)
-                bank_state = bank.probe_state()
-                ctrl_state = controller.probe_state()
-                queues = (arrivals.queue_lengths
-                          if arrivals is not None else None)
-                p_interval_s = probe_interval_ns / NS_PER_SECOND
-                for cell in due:
-                    cell = int(cell)
-                    stations = int(n[cell])
-                    while now[cell] >= probe_next[cell]:
-                        boundary = int(probe_next[cell])
-                        busy_at = int(p_busy_total[cell])
-                        if active_cnt[cell] > 0:
-                            busy_at += boundary - int(p_busy_since[cell])
-                        values = _probes.flatten_bank_state(
-                            bank_state, cell, stations)
-                        values.update(_probes.flatten_bank_state(
-                            ctrl_state, cell, stations))
-                        delta = probe_bits[cell] - probe_bits_prev[cell]
-                        for i in range(stations):
-                            values[f"tput_mbps[{i}]"] = (
-                                delta[i] / p_interval_s / 1e6
-                            )
-                        values["throughput_mbps"] = (
-                            int(delta[:stations].sum()) / p_interval_s / 1e6
-                        )
-                        values["busy_frac"] = (
-                            (busy_at - int(p_busy_snap[cell]))
-                            / float(probe_interval_ns)
-                        )
-                        if queues is not None:
-                            for i in range(stations):
-                                values[f"queue[{i}]"] = float(queues[cell, i])
-                        probe_bufs[cell].sample(boundary / NS_PER_SECOND,
-                                                values)
-                        p_busy_snap[cell] = busy_at
-                        probe_bits_prev[cell] = probe_bits[cell]
-                        probe_next[cell] += probe_interval_ns
+            def busy_frac(cell: int, boundary) -> float:
+                busy_at = int(p_busy_total[cell])
+                if active_cnt[cell] > 0:
+                    busy_at += int(boundary) - int(p_busy_since[cell])
+                frac = (busy_at - int(p_busy_snap[cell])) / p_interval
+                p_busy_snap[cell] = busy_at
+                return frac
 
         while True:
             if not np.count_nonzero(now < end_ns):
@@ -528,32 +431,23 @@ class BatchedConflictSimulator:
             # countdown committed at ``now`` is never rescheduled), so both
             # masks stay exact for the whole instant.
             np.equal(schedule, now[:, None], out=hits)
-            if probe_bufs is not None:
-                probe_drain()
+            if probes is not None:
+                probes.drain(now, busy_frac)
 
             # -- warm-up crossing (exact, the boundary bounds the jump) ----
             if not all_measuring:
                 cross = (now >= warmup_ns) > measuring
                 if np.count_nonzero(cross):
-                    measuring |= cross
+                    ledger.start_measuring(cross)
                     none_measuring = False
-                    successes[cross] = 0
-                    failures[cross] = 0
-                    cum_bits[cross] = 0
-                    bits_last[cross] = 0
+                    all_measuring = ledger.all_measuring
                     busy_total[cross] = 0
                     mid_busy = cross & (active_cnt > 0)
-                    busy_periods[cross] = 0
                     busy_periods[mid_busy] = 1
                     busy_since[mid_busy] = now[mid_busy]
-                    if traffic is not None:
-                        arrivals.reset_measurement(cross)
-                    if retry_disc is not None:
-                        retry_disc[cross] = 0
                     next_mark[cross] = (
                         warmup_ns + interval_ns if interval_ns else _NEVER
                     )
-                    all_measuring = bool(measuring.all())
 
             # -- controller ticks (finished cells have next_tick past
             #    end_ns, so no liveness mask is needed) --------------------
@@ -590,7 +484,7 @@ class BatchedConflictSimulator:
                 if tel_on:
                     t_ends += int(n_ends)
                 active_cnt -= cnt_end
-                if probe_bufs is not None:
+                if probes is not None:
                     p_idle = (cnt_end > 0) & (active_cnt == 0)
                     p_busy_total[p_idle] += (
                         now[p_idle] - p_busy_since[p_idle]
@@ -619,79 +513,20 @@ class BatchedConflictSimulator:
                 if n_fail:
                     ff = ef[fail]
                     f_cells = e_cells[fail]
-                    f_st = ff - f_cells * max_n
-                    if not none_measuring:
-                        failures_f[ff] += measuring[f_cells]
-                    counts = np.bincount(
-                        f_cells, minlength=num_cells
-                    ) * k_fail
-                    base = streams.claim(counts)
-                    # f_cells is sorted, so the within-cell rank falls out
-                    # of a searchsorted.
-                    frank = (np.arange(n_fail)
-                             - f_cells.searchsorted(f_cells))
-                    offs = base[f_cells] + frank * k_fail
-                    if retry_f is None:
-                        remaining_f[ff] = bank.failure_draw(
-                            f_cells, f_st,
-                            streams.gather(f_cells, offs, k_fail),
+                    base = streams.claim(
+                        np.bincount(f_cells, minlength=num_cells) * k_fail)
+                    discarded = ledger.redraw_losers(
+                        ff, f_cells, ff - f_cells * max_n, base,
+                        remaining_f, now)
+                    # The transmitters learn the failure now (no ACK) and
+                    # re-enter contention after the busy recompute below; a
+                    # discard may have emptied a queue, and only stations
+                    # still holding a frame re-enter.
+                    resume_f[ff] = True
+                    if discarded is not None and traffic is not None:
+                        resume_f[discarded] = (
+                            arrivals.has_frame().reshape(-1)[discarded]
                         )
-                        # The transmitter learns the failure now (no ACK) and
-                        # re-enters contention after the busy recompute below.
-                        resume_f[ff] = True
-                    else:
-                        # Bounded retries: the failure claim above is made
-                        # for *every* loser (fixed consumption keeps the
-                        # stream deterministic) but only surviving frames
-                        # use it; a discarding station drops its frame,
-                        # resets its retry chain and redraws from a fresh
-                        # success-claim, exactly like 802.11's CW reset
-                        # after max retries.
-                        tries = retry_f[ff] + 1
-                        retry_f[ff] = tries
-                        disc = tries >= retry_limit
-                        keep = ~disc
-                        kf, kc = ff[keep], f_cells[keep]
-                        remaining_f[kf] = bank.failure_draw(
-                            kc, f_st[keep],
-                            streams.gather(kc, offs[keep], k_fail),
-                        )
-                        resume_f[kf] = True
-                        n_disc = np.count_nonzero(disc)
-                        if n_disc:
-                            df, dc, ds = ff[disc], f_cells[disc], f_st[disc]
-                            retry_f[df] = 0
-                            if tel_on:
-                                t_discards += int(n_disc)
-                            if all_measuring:
-                                np.add.at(retry_disc, dc, 1)
-                            elif not none_measuring:
-                                np.add.at(retry_disc, dc,
-                                          measuring[dc].astype(np.int64))
-                            if traffic is not None:
-                                arrivals.pop_discard(dc, ds,
-                                                     now / NS_PER_SECOND)
-                            counts2 = np.bincount(
-                                dc, minlength=num_cells
-                            ) * k_succ
-                            base2 = streams.claim(counts2)
-                            drank = (np.arange(n_disc)
-                                     - dc.searchsorted(dc))
-                            remaining_f[df] = bank.success_draw(
-                                dc, ds,
-                                streams.gather(
-                                    dc, base2[dc] + drank * k_succ, k_succ
-                                ),
-                            )
-                            if traffic is not None:
-                                # The discard may have emptied the queue:
-                                # only stations still holding a frame
-                                # re-enter contention.
-                                resume_f[df] = (
-                                    arrivals.has_frame().reshape(-1)[df]
-                                )
-                            else:
-                                resume_f[df] = True
                     any_resume = True
 
                 if n_fail < n_ends:
@@ -701,22 +536,10 @@ class BatchedConflictSimulator:
                     sf = ef[succ]
                     s_cells = e_cells[succ]
                     s_st = sf - s_cells * max_n
-                    if retry_f is not None:
-                        retry_f[sf] = 0
-                    if traffic is not None:
-                        # The delivered frame leaves the winner's FIFO
-                        # (exact per-frame delay).  The pop precedes the
-                        # eager reschedule below, so an emptied winner is
-                        # excluded from it and parks.
-                        arrivals.pop_success(s_cells, s_st,
-                                             now / NS_PER_SECOND)
-                    if probe_bufs is not None:
-                        probe_bits_f[sf] += payload
-                    if not none_measuring:
-                        meas = measuring[s_cells]
-                        successes_f[sf] += meas
-                        if interval_ns:
-                            cum_bits[s_cells] += payload * meas
+                    # The delivered frame leaves the winner's FIFO before
+                    # the eager reschedule below, so an emptied winner is
+                    # excluded from it and parks.
+                    ledger.delivered(sf, s_cells, s_st, now)
                     if adaptive:
                         smask.fill(False)
                         smask[s_cells] = True
@@ -794,7 +617,7 @@ class BatchedConflictSimulator:
                 collide = (active_cnt + n_start >= 2) & started
                 if np.count_nonzero(collide):
                     corrupt |= txing & collide[:, None]
-                if probe_bufs is not None:
+                if probes is not None:
                     p_fresh = (active_cnt == 0) & started
                     p_busy_since[p_fresh] = now[p_fresh]
                 if not none_measuring:
@@ -878,115 +701,43 @@ class BatchedConflictSimulator:
             if interval_ns and not none_measuring:
                 due = measuring & (now >= next_mark)
                 if np.count_nonzero(due):
-                    primary = controller.primary_control()
-                    for cell in np.flatnonzero(due):
-                        delta = int(cum_bits[cell] - bits_last[cell])
-                        time_s = now[cell] / NS_PER_SECOND
-                        throughput_tl[cell].append(
-                            (time_s, delta / interval)
-                        )
-                        if primary is not None:
-                            control_tl[cell].append(
-                                (time_s, float(primary[cell]))
-                            )
-                        bits_last[cell] = cum_bits[cell]
+                    ledger.report(due, now)
                     next_mark[due] += interval_ns
 
         # Close the occupancy accounting for cells still busy at the end.
         still = active_cnt > 0
         busy_total[still] += end_ns - busy_since[still]
         if tel_on:
-            tel.counters("conflict", {
+            tel.counters(self._scope, {
                 "loop_iterations": t_iterations,
                 "frame_starts": t_starts,
                 "frame_ends": t_ends,
                 "sense_recomputes": t_sense,
                 "sense_product_ops": t_sense * num_cells * max_n * max_n,
-                "retry_discards": t_discards,
+                "retry_discards": ledger.discards,
                 "cells": num_cells,
                 "max_stations": max_n,
             })
-        if probe_bufs is not None:
-            for cell in range(num_cells):
-                record = _probes.probe_record(
-                    "conflict", probe_bufs[cell], probe, probe_t0,
-                    seed=self._seeds[cell], cell=cell,
-                )
-                if record is not None:
-                    tel.emit(record)
-        return self._build_results(successes, failures, busy_total,
-                                   busy_periods, throughput_tl, control_tl,
-                                   arrivals, retry_disc)
-
-    # ------------------------------------------------------------------
-    def _build_results(self, successes, failures, busy_total, busy_periods,
-                       throughput_tl, control_tl,
-                       arrivals: Optional[BatchedArrivals] = None,
-                       retry_disc: Optional[np.ndarray] = None,
-                       ) -> List[SimulationResult]:
-        phy = self._phy
-        payload = phy.payload_bits
-        duration = self._duration
-        station_idle = self._bank.station_observed_idle()
-        results = []
-        for cell in range(self._n.size):
-            stations = int(self._n[cell])
-            stats = tuple(
-                StationStats(
-                    station=i,
-                    successes=int(successes[cell, i]),
-                    failures=int(failures[cell, i]),
-                    payload_bits=int(successes[cell, i]) * payload,
-                    throughput_bps=int(successes[cell, i]) * payload / duration,
-                )
-                for i in range(stations)
-            )
-            cell_successes = int(successes[cell, :stations].sum())
-            # Table III accounting, mirroring WlanSimulation's finalisation:
-            # subtract the per-period framing overheads from the non-busy
-            # time and express the contention idle time in backoff slots.
-            busy_time_s = busy_total[cell] / NS_PER_SECOND
-            overhead_s = (
-                int(busy_periods[cell]) * phy.difs
-                + cell_successes * (phy.sifs + phy.ack_tx_time)
-            )
-            idle_time_s = max(duration - busy_time_s - overhead_s, 0.0)
-            block = self._sensing[cell, :stations, :stations]
-            hidden_pairs = int((~block).sum() - stations) // 2
-            extra: Dict[str, object] = {
-                "simulator": "batched",
-                "backend": "conflict-matrix",
-                "num_stations": stations,
-                "warmup": self._warmup,
-                "hidden_pairs": hidden_pairs,
-            }
-            if self._scheme_name is not None:
-                extra["scheme"] = self._scheme_name
-            if station_idle is not None and not math.isnan(station_idle[cell]):
-                extra["station_observed_idle"] = float(station_idle[cell])
-            traffic_fields: Dict[str, object] = {}
-            if arrivals is not None:
-                traffic_fields = arrivals.annotate_result(cell, stations, extra)
-            if retry_disc is not None:
-                traffic_fields["retry_discards"] = int(retry_disc[cell])
-            results.append(SimulationResult(
-                duration=duration,
-                station_stats=stats,
-                total_throughput_bps=cell_successes * payload / duration,
-                idle_slots=int(idle_time_s / phy.slot_time),
-                busy_periods=int(busy_periods[cell]),
-                throughput_timeline=tuple(throughput_tl[cell]),
-                control_timeline=tuple(control_tl[cell]),
-                extra=extra,
-                **traffic_fields,
-            ))
-        return results
+        # Table III accounting, mirroring WlanSimulation's finalisation:
+        # subtract the per-period framing overheads from the non-busy time
+        # and express the contention idle time in backoff slots.
+        overhead_s = (busy_periods * phy.difs
+                      + ledger.successes.sum(axis=1)
+                      * (phy.sifs + phy.ack_tx_time))
+        idle_s = np.maximum(
+            self._duration - busy_total / NS_PER_SECOND - overhead_s, 0.0)
+        hidden_pairs = [
+            {"hidden_pairs": int((~self._sensing[c, :k, :k]).sum() - k) // 2}
+            for c, k in enumerate(n.tolist())
+        ]
+        return ledger.results((idle_s / phy.slot_time).astype(np.int64), tel,
+                              hidden_pairs)
 
 
 def run_conflict(
     kind: str,
     params: Dict[str, object],
-    topologies: Sequence[ConnectivityGraph],
+    topologies: Iterable[ConnectivityGraph],
     seeds: Sequence[int],
     duration: float,
     warmup: float = 0.0,
@@ -995,19 +746,19 @@ def run_conflict(
 ) -> List[SimulationResult]:
     """One-call convenience wrapper: derive matrices, build banks, run.
 
-    ``topologies[c]`` supplies cell ``c``'s sensing graph; scheme ``kind`` /
-    ``params`` use the :class:`~repro.experiments.campaign.SchemeSpec`
-    vocabulary exactly like :func:`repro.sim.batched.run_batched`.
+    ``topologies`` supplies each cell's sensing graph, in cell order; scheme
+    ``kind`` / ``params`` use the
+    :class:`~repro.experiments.campaign.SchemeSpec` vocabulary exactly like
+    :func:`repro.sim.batched.run_batched`.  The graphs are read once, before
+    the run, so a generator that builds each one on demand keeps none of
+    them alive while the batch runs.
     """
-    if len(topologies) != len(seeds):
+    matrices = [graph.sensing_matrix() for graph in topologies]
+    if len(matrices) != len(seeds):
         raise ValueError("topologies and seeds must have equal length")
     phy = phy or PhyParameters()
-    if not batchable_scheme(kind, dict(params)):
-        raise ValueError(f"scheme kind '{kind}' has no batched kernel")
-    num_stations = [graph.num_stations for graph in topologies]
-    sensing = stack_sensing_matrices(
-        [graph.sensing_matrix() for graph in topologies]
-    )
+    num_stations = [len(matrix) for matrix in matrices]
+    sensing = stack_sensing_matrices(matrices)
     policy_bank, controller_bank, name = make_batched_system(
         kind, dict(params), len(seeds), int(max(num_stations)), phy,
         station_observations=True,

@@ -34,15 +34,18 @@ windowed rates always describe exactly one interval.
 from __future__ import annotations
 
 import math
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence)
 
 import numpy as np
 
 __all__ = [
     "ProbeConfig",
     "ProbeBuffer",
+    "ProbeGrid",
     "current",
     "session",
     "probe_record",
@@ -173,6 +176,88 @@ class ProbeBuffer:
         for column in self._series.values():
             if len(column) <= n:
                 column.append(math.nan)
+
+
+# ----------------------------------------------------------------------
+# Per-cell probe grid of the vectorized kernels
+# ----------------------------------------------------------------------
+class ProbeGrid:
+    """Probe buffers, boundaries and bit windows for a batch of cells.
+
+    Time stays in the kernel's own clock unit: ``scale`` is 1 for a clock in
+    seconds and ``NS_PER_SECOND`` for one in integer nanoseconds, so
+    boundaries compare exactly with the kernel's clock.  ``sources`` are the
+    batched banks whose ``probe_state()`` is sampled; ``arrivals`` (if any)
+    supplies the queue lengths.  The kernel adds delivered payload bits to
+    :attr:`bits_f` (flat ``cell * S + station`` view) and calls
+    :meth:`drain` after each time advance; samples are taken retroactively
+    at every boundary a cell's clock has passed.
+    """
+
+    def __init__(self, config: ProbeConfig, num_stations: np.ndarray,
+                 max_stations: int, scale: int, sources: Sequence[Any],
+                 arrivals: Optional[Any]) -> None:
+        num_cells = len(num_stations)
+        self.config = config
+        self.scale = scale
+        #: Boundary spacing in the kernel's unit.
+        self.interval = (config.interval if scale == 1
+                         else np.int64(round(config.interval * scale)))
+        self.next = np.full(num_cells, self.interval)
+        self.bits = np.zeros((num_cells, max_stations), dtype=np.int64)
+        self.bits_f = self.bits.reshape(-1)
+        self._bits_prev = np.zeros_like(self.bits)
+        self._n = num_stations
+        self._sources = sources
+        self._arrivals = arrivals
+        self._buffers = [ProbeBuffer(config.capacity)
+                         for _ in range(num_cells)]
+        self._t0 = time.time()
+
+    def drain(self, now: np.ndarray,
+              busy_frac: Callable[[int, Any], float]) -> None:
+        """Sample every boundary at or before each cell's ``now``.
+
+        ``busy_frac(cell, boundary)`` returns the channel busy fraction of
+        the window that ends at ``boundary`` and starts the next window.
+        """
+        due = now >= self.next
+        if not np.count_nonzero(due):
+            return
+        states = [source.probe_state() for source in self._sources]
+        queues = (None if self._arrivals is None
+                  else self._arrivals.queue_lengths)
+        interval_s = self.interval / self.scale
+        for cell in due.nonzero()[0]:
+            cell = int(cell)
+            stations = int(self._n[cell])
+            while now[cell] >= self.next[cell]:
+                boundary = self.next[cell]
+                values: Dict[str, float] = {}
+                for state in states:
+                    values.update(flatten_bank_state(state, cell, stations))
+                delta = self.bits[cell] - self._bits_prev[cell]
+                for i in range(stations):
+                    values[f"tput_mbps[{i}]"] = delta[i] / interval_s / 1e6
+                values["throughput_mbps"] = (
+                    int(delta[:stations].sum()) / interval_s / 1e6
+                )
+                values["busy_frac"] = busy_frac(cell, boundary)
+                if queues is not None:
+                    for i in range(stations):
+                        values[f"queue[{i}]"] = float(queues[cell, i])
+                self._buffers[cell].sample(float(boundary) / self.scale,
+                                           values)
+                self._bits_prev[cell] = self.bits[cell]
+                self.next[cell] += self.interval
+
+    def emit(self, tel, scope: str, seeds: Sequence[int]) -> None:
+        """Emit one ``probe`` record per cell that holds samples."""
+        for cell, buffer in enumerate(self._buffers):
+            record = probe_record(scope, buffer, self.config, self._t0,
+                                  seed=seeds[cell], cell=cell)
+            if record is not None:
+                tel.emit(record)
 
 
 def probe_record(scope: str, buffer: ProbeBuffer, config: ProbeConfig,

@@ -27,7 +27,7 @@ batched renewal-slot, batched conflict-matrix) share:
   cell consumes uniforms from its own block-buffered stream in an order
   that depends only on that cell's trajectory, so per-cell results are
   bit-identical under any batch composition (the same contract as
-  :class:`repro.sim.batched.CellStreams`, which it reuses).
+  :class:`repro.sim.ledger.CellStreams`, which it reuses).
 
 Determinism contract
 --------------------
@@ -501,7 +501,7 @@ class BatchedArrivals:
 
     All arrays are laid out ``(cell, station)`` like the simulators' own
     state.  Uniform draws come from one block-buffered stream per cell
-    (:class:`repro.sim.batched.CellStreams` seeded with
+    (:class:`repro.sim.ledger.CellStreams` seeded with
     ``(seed, TRAFFIC_STREAM_SALT)``), consumed in an order that is a
     deterministic function of the cell's own trajectory — so per-cell
     results are independent of batch composition, the same contract the
@@ -522,7 +522,7 @@ class BatchedArrivals:
     ) -> None:
         if spec.is_saturated:
             raise ValueError("saturated traffic has no batched arrival state")
-        from ..sim.batched import CellStreams  # local import: sim imports us
+        from ..sim.ledger import CellStreams  # local import: sim imports us
 
         self._spec = spec
         self._limit = int(spec.queue_limit)

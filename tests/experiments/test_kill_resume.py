@@ -54,6 +54,18 @@ def _wait_for_journal(path, min_lines, process, timeout_s=120.0):
     raise AssertionError(f"journal never reached {min_lines} lines")
 
 
+def _kill_group(process):
+    """SIGKILL the process group ``process`` leads, then reap the leader.
+
+    Killing the leader alone would orphan its pool workers.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=30)
+
+
 CAMPAIGN = ["fig3", "--preset", "quick", "--jobs", "2"]
 
 
@@ -72,12 +84,12 @@ class TestKillResume:
                         "--journal", "run.jsonl"],
             cwd=tmp_path)
         try:
-            # Wait for meta + a few completed cells, then pull the plug.
+            # Wait for meta + a few completed cells, then pull the plug on
+            # the CLI and its pool workers together (the CLI leads its own
+            # session, so its process group holds every worker).
             _wait_for_journal(journal, 4, process)
         finally:
-            if process.poll() is None:
-                process.kill()
-            process.wait(timeout=30)
+            _kill_group(process)
 
         resumed = _run(
             CAMPAIGN + ["--output", "out", "--cache-dir", "cache2",
@@ -114,8 +126,7 @@ class TestKillResume:
             stdout, stderr = process.communicate(timeout=60)
         finally:
             if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
+                _kill_group(process)
         assert process.returncode == 130, (stdout, stderr)
         assert "interrupted" in stderr
         assert "Traceback" not in stderr

@@ -5,9 +5,6 @@ the cheap qualitative properties, not the paper's quantitative shapes (the
 benchmark harness does that with bigger budgets).
 """
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -21,49 +18,31 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.campaign import execute_task
 from repro.experiments.runner import (
     average_throughput_mbps,
-    make_connected_topology,
-    make_hidden_topology,
-    paper_scheme_factories,
-    run_scheme_connected,
-    run_scheme_on_topology,
+    connected_task,
+    paper_scheme_specs,
 )
 
 
 class TestRunnerHelpers:
-    def test_connected_topology_has_no_hidden_pairs(self):
-        assert make_connected_topology(12).is_fully_connected()
-
-    def test_hidden_topology_has_hidden_pairs(self):
-        graph = make_hidden_topology(20, radius=16.0, seed=3)
-        assert not graph.is_fully_connected()
-
-    def test_paper_scheme_factories_cover_four_schemes(self, tiny_config):
-        factories = paper_scheme_factories(tiny_config)
-        assert set(factories) == {
+    def test_paper_scheme_specs_cover_four_schemes(self, tiny_config):
+        specs = paper_scheme_specs(tiny_config)
+        assert set(specs) == {
             "Standard 802.11", "IdleSense", "wTOP-CSMA", "TORA-CSMA"
         }
-        # Each factory builds a fresh instance.
-        scheme_a = factories["wTOP-CSMA"]()
-        scheme_b = factories["wTOP-CSMA"]()
-        assert scheme_a.make_controller() is not scheme_b.make_controller()
-
-    def test_run_scheme_connected_and_event_agree_roughly(self, tiny_config, phy):
-        factory = paper_scheme_factories(tiny_config)["Standard 802.11"]
-        slotted = run_scheme_connected(factory, 8, tiny_config, seed=1, phy=phy)
-        event = run_scheme_on_topology(
-            factory, make_connected_topology(8), tiny_config, seed=1, phy=phy
-        )
-        assert event.total_throughput_mbps == pytest.approx(
-            slotted.total_throughput_mbps, rel=0.2
-        )
+        for name in ("wTOP-CSMA", "TORA-CSMA"):
+            assert dict(specs[name].params) == {
+                "update_period": tiny_config.update_period
+            }
 
     def test_average_throughput(self, tiny_config, phy):
-        factory = paper_scheme_factories(tiny_config)["Standard 802.11"]
-        results = [run_scheme_connected(factory, 5, tiny_config, seed=s, phy=phy)
-                   for s in (1, 2)]
+        spec = paper_scheme_specs(tiny_config)["Standard 802.11"]
+        results = [
+            execute_task(connected_task(spec, 5, tiny_config, seed=s, phy=phy))
+            for s in (1, 2)
+        ]
         avg = average_throughput_mbps(results)
         assert min(r.total_throughput_mbps for r in results) <= avg
         assert avg <= max(r.total_throughput_mbps for r in results)

@@ -27,6 +27,7 @@ import pytest
 
 from repro.experiments.campaign import result_to_dict
 from repro.sim.conflict import run_conflict
+from repro.telemetry import ProbeConfig, Telemetry, probes, session
 from repro.topology.scenarios import (
     hidden_node_scenario,
     two_cluster_hidden_scenario,
@@ -78,6 +79,11 @@ SCENARIOS = {
         "standard-802.11", {},
         dict(duration=0.4, warmup=0.0,
              traffic=ArrivalProcess.poisson(600.0, queue_limit=6)), True),
+    "idlesense-fer-retry-report-no-warmup": (
+        "idlesense", {},
+        dict(duration=0.4, warmup=0.0, frame_error_rate=0.1,
+             report_interval=0.1,
+             traffic=ArrivalProcess.saturated(retry_limit=2)), False),
 }
 
 GOLDEN = {
@@ -87,6 +93,8 @@ GOLDEN = {
         "8fc3b488d6b9a20709eb44f2479e1f05aaf412bec022d1efbf829b50fadaf519",
     "idlesense-fer-retry":
         "51eb459e50f8b9ee8975d3f9bdb87013a761bbb4efede8c2a6defdd26047883f",
+    "idlesense-fer-retry-report-no-warmup":
+        "49001aee3f0a903e63deed88e2a14c7c92c77b7875be7d1b5f0583ed0fa34720",
     "idlesense-poisson-queue-retry":
         "fa43695824a1db82b7b6e8a69a3754a746d258a3fe9c7a1eddeb6fcc3d095762",
     "idlesense-report":
@@ -98,9 +106,31 @@ GOLDEN = {
 }
 
 
-def _digest(results):
-    payload = json.dumps([result_to_dict(r) for r in results],
-                         sort_keys=True)
+#: Probed batch: TORA-CSMA under CBR arrivals with frame errors, reporting
+#: and a retry limit, sampled every 50 ms; its digest also covers the probe
+#: records and loop counters.
+PROBED = (
+    "tora-csma", {"update_period": 0.05},
+    dict(duration=0.3, warmup=0.3, report_interval=0.1, frame_error_rate=0.2,
+         traffic=ArrivalProcess.cbr(200.0, queue_limit=6, retry_limit=1)),
+)
+PROBED_GOLDEN = (
+    "1f7a2f734aaaf35fde79472462442d9b8e37160e6578b5724b671557bcac2a97"
+)
+
+#: Wall-clock fields of trace records, left out of the digest.
+_WALL_CLOCK = ("t0", "pid")
+
+
+def _digest(results, records=None):
+    payload = [result_to_dict(r) for r in results]
+    if records is not None:
+        payload = {
+            "results": payload,
+            "records": [{k: v for k, v in record.items()
+                         if k not in _WALL_CLOCK} for record in records],
+        }
+    payload = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -112,3 +142,14 @@ def test_conflict_kernel_digest_is_pinned(phy, recorded_math, name):
     results = run_conflict(kind, params, _topologies(), SEEDS, phy=phy,
                            **kwargs)
     assert _digest(results) == GOLDEN[name]
+
+
+def test_probed_conflict_kernel_digest_is_pinned(phy):
+    kind, params, kwargs = PROBED
+    tel = Telemetry()
+    with session(tel), probes.session(ProbeConfig(interval=0.05)):
+        results = run_conflict(kind, params, _topologies(), SEEDS, phy=phy,
+                               **kwargs)
+    records = [r for r in tel.records if r["type"] in ("probe", "counters")]
+    assert {r["type"] for r in records} == {"probe", "counters"}
+    assert _digest(results, records) == PROBED_GOLDEN

@@ -327,8 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     executor = CampaignExecutor(
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        cache_dir=None if args.no_cache else args.cache_dir,
         progress=stderr_progress if args.progress else None,
         backend=args.backend,
         telemetry=telemetry,

@@ -14,7 +14,7 @@ This module decides which tasks qualify (:func:`batch_eligible`), groups
 them (:func:`plan_batches` — the grouping key includes the topology family
 so the two backends never mix inside one call) and executes one group as a
 single vectorized run (:func:`execute_batch`), annotating each cell's
-result exactly like
+result with :func:`annotate` exactly like
 :func:`~repro.experiments.campaign.executor.execute_task` does.
 
 Because per-cell results are independent of batch composition (each cell
@@ -43,6 +43,7 @@ __all__ = [
     "topology_fingerprint",
     "plan_batches",
     "execute_batch",
+    "annotate",
 ]
 
 
@@ -197,12 +198,16 @@ def execute_batch(tasks: Sequence[RunTask]) -> List[SimulationResult]:
             first.scheme.kind, first.scheme.params,
             (task.topology.build() for task in tasks), seeds, **shared,
         )
-    annotated = []
-    for task, result in zip(tasks, results):
-        extra = dict(result.extra)
-        extra["task_key"] = task.task_key()
-        extra["seed"] = task.seed
-        if task.label:
-            extra["label"] = task.label
-        annotated.append(dataclasses.replace(result, extra=extra))
-    return annotated
+    return [annotate(task, result) for task, result in zip(tasks, results)]
+
+
+def annotate(task: RunTask, result: SimulationResult) -> SimulationResult:
+    """``result`` with the task key, seed and (when set) label in ``extra``.
+
+    Every backend's result passes through here, so a cell reads the same
+    wherever it ran.  The returned ``extra`` is a fresh mapping.
+    """
+    extra = dict(result.extra, task_key=task.task_key(), seed=task.seed)
+    if task.label:
+        extra["label"] = task.label
+    return dataclasses.replace(result, extra=extra)

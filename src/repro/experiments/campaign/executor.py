@@ -16,14 +16,17 @@ deduplicates identical tasks, satisfies what it can from a
 the :class:`~repro.experiments.campaign.cache.ResultCache`, groups batched
 misses into vectorized calls (:mod:`~repro.experiments.campaign.batching`),
 fans the remaining work out over a ``ProcessPoolExecutor`` (``jobs > 1``)
-or an in-process loop (``jobs == 1``), stores fresh results back into the
+or an in-process pool (``jobs == 1``), stores fresh results back into the
 cache, and reports progress through a callback.
 
 Fault tolerance
 ---------------
 Campaign-scale runs must survive their own size, so dispatch is built
-around small recoverable *work units* (:class:`_WorkUnit`) and one shared
-failure policy (:class:`_UnitScheduler`):
+around small recoverable *work units* (:class:`_WorkUnit`) and one dispatch
+loop with one failure policy (:class:`_CampaignRun`).  ``jobs=1`` runs
+through the same loop on an in-process pool (:class:`_InlinePool`), where
+units have no deadline: nothing can preempt a call in the campaign's own
+process.  The policy:
 
 * a dead worker (``BrokenProcessPool``) rebuilds the pool and re-dispatches
   only the lost units — completed results are never recomputed;
@@ -54,16 +57,20 @@ import signal
 import sys
 import time
 import traceback as traceback_module
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -79,7 +86,7 @@ from ...telemetry.probes import session as probe_session
 from ...telemetry.profiling import hotspot_report, stats_dict, top_hotspots
 from ...testing.faults import FaultPlan, InjectedCrash
 from .batching import (
-    batch_eligible,
+    annotate,
     degraded_reason,
     execute_batch,
     fallback_reason,
@@ -171,15 +178,11 @@ def execute_task(task: RunTask) -> SimulationResult:
         result = simulation.run(duration=task.duration, warmup=task.warmup)
         policies = simulation.policies
 
-    extra = dict(result.extra)
-    extra["task_key"] = task.task_key()
-    extra["seed"] = task.seed
-    if task.label:
-        extra["label"] = task.label
+    result = annotate(task, result)
     station_idle = _station_observed_idle(policies)
     if station_idle is not None:
-        extra["station_observed_idle"] = station_idle
-    return dataclasses.replace(result, extra=extra)
+        result.extra["station_observed_idle"] = station_idle
+    return result
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ class _UnitReport:
 class _WorkUnit:
     """One recoverable dispatch unit: a batch group or a single scalar cell.
 
-    Mutable on purpose — the scheduler tracks retry ``attempts``, the
+    Mutable on purpose — the dispatch loop tracks retry ``attempts``, the
     earliest re-dispatch time (``not_before``, a ``perf_counter`` value for
     backoff), and whether the unit is a crash/hang *suspect* (at most one
     suspect runs at a time so a repeat failure is attributable to it).
@@ -455,330 +458,554 @@ def stderr_progress(event: CampaignEvent) -> None:
     )
 
 
-class _UnitScheduler:
-    """Fault-tolerant dispatch loop shared by serial and parallel modes.
+class _InlinePool(Executor):
+    """An executor that runs each call at once, in the calling process.
 
-    Owns the work-unit queue and the failure policy; the executor supplies
-    callbacks for delivering results (``deliver``), quarantining exhausted
-    tasks (``quarantine``) and naming degradations (``note_fallback``).
+    ``jobs=1`` campaigns dispatch through it, so they share the process
+    pool's loop and failure policy; ``submit`` returns a finished future.
     """
 
-    def __init__(
-        self,
-        executor: "CampaignExecutor",
-        units: Sequence[_WorkUnit],
-        stats: CampaignStats,
-        deliver: Callable[[_WorkUnit, List[SimulationResult],
-                           Optional[_UnitReport]], None],
-        quarantine: Callable[[_WorkUnit, str, BaseException], None],
-        note_fallback: Callable[[str, str], None],
-    ) -> None:
-        self._ex = executor
-        self._stats = stats
-        self._deliver = deliver
-        self._quarantine = quarantine
-        self._note_fallback = note_fallback
-        self._queue: deque = deque(units)
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
-    # -- shared failure policy -----------------------------------------
-    def _handle_failure(self, unit: _WorkUnit, kind: str,
-                        exc: BaseException) -> None:
+
+class _CampaignRun:
+    """The books and steps of one :meth:`CampaignExecutor.run` call.
+
+    It owns the unique cells, the resolved results, the run's
+    :class:`CampaignStats`, the progress window, the fallback reasons and
+    the work-unit queue, and runs the steps plan → serve → execute →
+    finish.  Every unit goes through one dispatch loop with one failure
+    policy, whatever ``jobs`` is.
+    """
+
+    def __init__(self, executor: "CampaignExecutor", total: int) -> None:
+        self.ex = executor
+        self.tel = executor._telemetry
+        self.stats = CampaignStats(total=total)
+        self.started = time.perf_counter()
+        #: The unique cells, by task key, in first-seen order.
+        self.cells: Dict[str, RunTask] = {}
+        self.resolved: Dict[str, SimulationResult] = {}
+        #: Why a cell left its preferred backend (planner or runtime).
+        self.fallbacks: Dict[str, str] = {}
+        self.completed = 0
+        #: Rolling completion window for the progress line's rate and ETA.
+        self.window: deque = deque(maxlen=32)
+        self.queue: deque = deque()
+        self.in_flight: Dict[Future, Tuple[_WorkUnit, float]] = {}
+        self.serial = True
+        self.workers = 1
+        self.pool: Optional[Executor] = None
+
+    # -- plan -----------------------------------------------------------
+    def plan(self, tasks: Sequence[RunTask]) -> List[str]:
+        """Resolve backends and deduplicate; return every task's key, in
+        input order.  The fallback diagnosis travels with the unique cell."""
+        keys = []
+        with self.tel.span("plan", tasks=len(tasks)) as plan_args:
+            for task in tasks:
+                task, reason = self.ex._resolve_backend(task)
+                key = task.task_key()
+                keys.append(key)
+                if key in self.cells:
+                    self.stats.deduplicated += 1
+                    continue
+                self.cells[key] = task
+                if reason is not None:
+                    self.fallbacks[key] = reason
+            self.stats.fallbacks = len(self.fallbacks)
+            plan_args["unique"] = len(self.cells)
+            plan_args["fallbacks"] = self.stats.fallbacks
+        for reason, count in sorted(Counter(self.fallbacks.values()).items()):
+            print(
+                f"[campaign] {count} hidden-node cell(s) fell back from the "
+                f"conflict-matrix backend to the event-driven simulator: "
+                f"{reason}",
+                file=sys.stderr, flush=True,
+            )
+        return keys
+
+    # -- serve ----------------------------------------------------------
+    def serve(self) -> List[str]:
+        """Serve journaled cells (a resumed campaign skips them), then
+        cache hits; return the misses, which alone need executing."""
+        journal, cache = self.ex._journal, self.ex._cache
+        pending = list(self.cells)
+        # ``completed`` counts the cells served so far.
+        if journal is not None:
+            with self.tel.span("journal-lookup",
+                               candidates=len(pending)) as journal_args:
+                pending = self._serve_from("journal", journal.lookup, pending)
+                self.stats.journaled = journal_args["hits"] = self.completed
+        corrupt_before = cache.corrupt_entries if cache is not None else 0
+        served = self.completed
+        # The cache reports corrupt-entry counters through the ambient
+        # telemetry session; install ours so they land in this trace.
+        with self.tel.span("cache-lookup", candidates=len(pending)) as args, \
+                telemetry_session(self.tel if self.tel.enabled else None):
+            if cache is not None:
+                pending = self._serve_from("cache", cache.load, pending)
+            self.stats.cached = args["hits"] = self.completed - served
+            args["misses"] = len(pending)
+            if cache is not None:
+                self.stats.cache_corrupt = (cache.corrupt_entries
+                                            - corrupt_before)
+                if self.stats.cache_corrupt:
+                    args["corrupt"] = self.stats.cache_corrupt
+        return pending
+
+    def _serve_from(self, source: str,
+                    lookup: Callable[[str], Optional[SimulationResult]],
+                    keys: List[str]) -> List[str]:
+        """Resolve every cell ``lookup`` holds; return the rest, in order."""
+        misses = []
+        for key in keys:
+            hit = lookup(key)
+            if hit is None:
+                misses.append(key)
+                continue
+            self.resolved[key] = hit
+            self._trace(key, source, self.cells[key])
+            self._report(key, source)
+        return misses
+
+    # -- execute --------------------------------------------------------
+    def execute(self, pending: List[str]) -> None:
+        """Group the misses into work units and run them to completion.
+
+        Pending batched tasks are grouped into vectorized units of work
+        (split to keep every worker busy when running in a pool); every
+        other pending task is a scalar unit of its own.
+        """
+        ex, tel = self.ex, self.tel
+        with tel.span("group") as group_args:
+            groups = plan_batches(
+                [self.cells[key] for key in pending
+                 if self.cells[key].resolved_simulator() == "batched"],
+                target_units=ex._jobs if ex._jobs > 1 else None,
+            )
+            scalar = [key for key in pending
+                      if self.cells[key].resolved_simulator() != "batched"]
+            group_args["batch_groups"] = len(groups)
+            group_args["scalar_units"] = len(scalar)
+        if not pending:
+            return
+        units = [
+            _WorkUnit(tasks=list(group),
+                      keys=[task.task_key() for task in group],
+                      batched=True, group_id=index)
+            for index, group in enumerate(groups)
+        ] + [
+            _WorkUnit(tasks=[self.cells[key]], keys=[key], batched=False)
+            for key in scalar
+        ]
+        # A single unit still goes through a process pool when a timeout
+        # needs a killable worker.
+        self.serial = ex._jobs == 1 or (
+            len(units) == 1 and ex._task_timeout_s is None)
+        self.workers = min(ex._jobs, len(units))
+        mode = "serial" if self.serial else "parallel"
+        with tel.span("dispatch", mode=mode, units=len(units),
+                      workers=self.workers):
+            self.queue.extend(units)
+        with tel.span("execute", mode=mode,
+                      **({} if self.serial else {"workers": self.workers})):
+            self._dispatch()
+
+    def _new_pool(self) -> Executor:
+        if self.serial:
+            return _InlinePool()
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   initializer=_ignore_sigint)
+
+    def _dispatch(self) -> None:
+        """The dispatch loop: submit, wait, settle, recover, until done."""
+        self.pool = self._new_pool()
+        try:
+            while self.queue or self.in_flight:
+                while len(self.in_flight) < self.workers:
+                    unit = self._pop_dispatchable()
+                    if unit is None:
+                        break
+                    self._submit(unit)
+                if not self.in_flight:
+                    # Every queued unit is waiting on its retry backoff.
+                    pause = (min(u.not_before for u in self.queue)
+                             - time.perf_counter())
+                    if pause > 0:
+                        time.sleep(min(pause, 1.0))
+                    continue
+                done, _ = wait(set(self.in_flight),
+                               timeout=self._wait_budget(),
+                               return_when=FIRST_COMPLETED)
+                broken = [exc for exc in map(self._settle, done)
+                          if exc is not None]
+                if broken:
+                    self._rebuild(broken[0])
+                    continue
+                now = time.perf_counter()
+                expired = {future for future, (_, deadline)
+                           in self.in_flight.items() if deadline <= now}
+                if expired:
+                    self._rebuild(None, expired)
+            self.pool.shutdown(wait=True)
+        except KeyboardInterrupt:
+            self._drain()
+            raise
+        except BaseException:
+            _kill_pool(self.pool)
+            raise
+
+    def _pop_dispatchable(self) -> Optional[_WorkUnit]:
+        """The first queued unit past its backoff, if any.
+
+        Suspects run one at a time: if the pool dies again, the lone
+        suspect in flight is unambiguously the culprit.
+        """
+        now = time.perf_counter()
+        suspect_busy = any(unit.suspect for unit, _ in self.in_flight.values())
+        for index, unit in enumerate(self.queue):
+            if unit.not_before <= now and not (unit.suspect and suspect_busy):
+                del self.queue[index]
+                return unit
+        return None
+
+    def _submit(self, unit: _WorkUnit) -> None:
+        ex = self.ex
+        try:
+            future = self.pool.submit(
+                _execute_unit, tuple(unit.tasks), unit.batched, time.time(),
+                self.tel.enabled, ex._profile, ex._faults, not self.serial,
+                ex._probe,
+            )
+        except BrokenExecutor as exc:
+            self.queue.appendleft(unit)
+            self._rebuild(exc)
+            return
+        timeout = None if self.serial else ex._task_timeout_s
+        deadline = (time.perf_counter() + timeout if timeout is not None
+                    else math.inf)
+        self.in_flight[future] = (unit, deadline)
+
+    def _wait_budget(self) -> Optional[float]:
+        """How long to wait for a future: until the nearest deadline, or
+        until a queued unit waiting on backoff becomes dispatchable."""
+        now = time.perf_counter()
+        budget = min((deadline for _, deadline in self.in_flight.values()),
+                     default=math.inf)
+        budget = max(0.0, budget - now) + 0.01
+        if self.queue and len(self.in_flight) < self.workers:
+            release = max(0.05, min(u.not_before for u in self.queue) - now)
+            budget = min(budget, release)
+        return None if budget == math.inf else budget
+
+    def _settle(self, future: Future) -> Optional[BaseException]:
+        """Turn a finished future into a delivery or a failure.
+
+        When the future's worker was lost (``BrokenExecutor``), the unit
+        stays in flight for :meth:`_rebuild` and the error is returned.
+        """
+        try:
+            results, report = future.result()
+        except BrokenExecutor as exc:
+            return exc
+        except Exception as exc:
+            # In process, an injected crash raises instead of exiting.
+            kind = "crash" if isinstance(exc, InjectedCrash) else "error"
+            self._fail(self.in_flight.pop(future)[0], kind, exc)
+            return None
+        self._deliver(self.in_flight.pop(future)[0], results, report)
+        return None
+
+    def _rebuild(self, cause: Optional[BaseException],
+                 expired: AbstractSet[Future] = frozenset()) -> None:
+        """Replace a pool that lost a worker (``cause``) or holds units
+        past the task timeout (``expired``; a hung worker cannot be
+        reclaimed any other way, the pool has no per-task cancellation).
+
+        Finished units settle as usual; the rest are lost with the pool.
+        After a timeout the expired units are charged and the innocent
+        ones re-dispatch uncharged.  After a worker death attribution is
+        ambiguous — every in-flight future fails with ``BrokenProcessPool``
+        when any worker dies — so only a *lone* lost unit, or one already
+        suspect, is charged a crash.  The rest re-dispatch uncharged as
+        suspects, which then run one at a time, making the next crash
+        attributable.
+        """
+        lost: List[_WorkUnit] = []
+        innocent: List[_WorkUnit] = []
+        for future in list(self.in_flight):
+            if future.done() and self._settle(future) is None:
+                continue
+            unit = self.in_flight.pop(future)[0]
+            if cause is None and future not in expired:
+                innocent.append(unit)
+            else:
+                lost.append(unit)
+        self.stats.recoveries += 1
+        name = "timeout" if cause is None else type(cause).__name__
+        with self.tel.span("recover", cause=name, lost_units=len(lost)):
+            _kill_pool(self.pool)
+            self.pool = self._new_pool()
+        if cause is None:
+            timeout = self.ex._task_timeout_s
+            print(
+                f"[campaign] {len(lost)} unit(s) exceeded the "
+                f"{timeout:g}s task timeout; killed the worker pool and "
+                f"re-dispatched {len(innocent)} innocent unit(s)",
+                file=sys.stderr, flush=True,
+            )
+            for unit in lost:
+                self.stats.timeouts += 1
+                self._fail(unit, "timeout", TimeoutError(
+                    f"unit exceeded the task timeout of {timeout:g}s"))
+        else:
+            print(
+                f"[campaign] worker process died ({name}); rebuilt the pool "
+                f"and re-dispatched {len(lost)} lost unit(s)",
+                file=sys.stderr, flush=True,
+            )
+            for unit in lost:
+                if unit.suspect or len(lost) == 1:
+                    self._fail(unit, "crash", cause)
+                else:
+                    unit.suspect = True
+                    innocent.append(unit)
+        for unit in innocent:
+            unit.not_before = 0.0
+            self.queue.appendleft(unit)
+
+    def _drain(self) -> None:
+        """Ctrl-C: cancel queued work, give in-flight units a short grace
+        period to finish (their results are delivered and journaled), then
+        tear the pool down."""
+        dropped = len(self.queue)
+        self.queue.clear()
+        grace = min(self.ex._task_timeout_s or 5.0, 5.0)
+        print(
+            f"[campaign] interrupt: cancelled {dropped} queued unit(s), "
+            f"draining {len(self.in_flight)} in-flight unit(s) "
+            f"(up to {grace:.0f}s)", file=sys.stderr, flush=True,
+        )
+        try:
+            done, _ = wait(set(self.in_flight), timeout=grace)
+            for future in done:
+                self._settle(future)
+        finally:
+            _kill_pool(self.pool)
+
+    # -- failure policy -------------------------------------------------
+    def _fail(self, unit: _WorkUnit, kind: str, exc: BaseException) -> None:
         """Decide a failed unit's fate: split, retry, degrade or quarantine."""
-        ex = self._ex
+        stats, retries = self.stats, self.ex._task_retries
         if unit.batched and len(unit.tasks) > 1:
             # Graceful degradation, step 1: don't let one poisoned cell take
             # down its batch-mates.  Single-cell *batched* units keep every
             # innocent cell bit-identical (composition independence); the
             # group failure is not charged to any cell's retry budget.
-            self._stats.degraded_groups += 1
+            stats.degraded_groups += 1
             print(
                 f"[campaign] batched group of {len(unit.tasks)} cell(s) "
                 f"failed ({kind}: {exc}); re-dispatching its cells "
                 f"individually", file=sys.stderr, flush=True,
             )
-            suspect = kind != "error"
             for task, key in zip(unit.tasks, unit.keys):
-                self._queue.append(_WorkUnit(
-                    tasks=[task], keys=[key], batched=True, suspect=suspect,
+                self.queue.append(_WorkUnit(
+                    tasks=[task], keys=[key], batched=True,
+                    suspect=kind != "error",
                 ))
             return
         unit.attempts += 1
-        if unit.attempts <= ex._task_retries:
-            self._stats.retries += 1
-            delay = ex._backoff_s(unit.attempts, unit.keys[0])
+        if unit.attempts <= retries:
+            stats.retries += 1
+            delay = self.ex._backoff_s(unit.attempts, unit.keys[0])
             unit.not_before = time.perf_counter() + delay
-            self._queue.append(unit)
+            self.queue.append(unit)
             return
-        task = unit.tasks[0]
-        if (unit.degraded_from is None
-                and task.resolved_simulator() == "batched"):
+        task, key = unit.tasks[0], unit.keys[0]
+        if unit.degraded_from is None and task.resolved_simulator() == "batched":
             # Graceful degradation, step 2: one final attempt on the scalar
             # oracle backend before giving the cell up.  Reuses the
             # fallback-reason machinery so the degradation is named in the
             # trace and counted next to planner fallbacks.
             scalar = task.scalar_equivalent()
             reason = degraded_reason(kind, scalar.resolved_simulator())
-            self._stats.scalar_retries += 1
-            self._note_fallback(unit.keys[0], reason)
+            stats.scalar_retries += 1
+            self.fallbacks[key] = reason
             print(
-                f"[campaign] cell {task.label or unit.keys[0][:12]} failed "
+                f"[campaign] cell {task.label or key[:12]} failed "
                 f"{unit.attempts} attempt(s) on the batched backend; "
                 f"{reason}", file=sys.stderr, flush=True,
             )
-            self._queue.append(_WorkUnit(
-                tasks=[scalar], keys=[unit.keys[0]], batched=False,
-                attempts=ex._task_retries, suspect=unit.suspect,
-                degraded_from=unit.keys[0],
+            self.queue.append(_WorkUnit(
+                tasks=[scalar], keys=[key], batched=False, attempts=retries,
+                suspect=unit.suspect, degraded_from=key,
             ))
             return
-        self._quarantine(unit, kind, exc)
+        # Quarantine: name the cell, keep the campaign going.
+        error_text = f"{type(exc).__name__}: {exc}"
+        tb = "".join(traceback_module.format_exception(
+            type(exc), exc, exc.__traceback__))
+        for task, key in zip(unit.tasks, unit.keys):
+            stats.failures.append(FailedTask(
+                key=key,
+                label=task.label,
+                backend=task.resolved_simulator(),
+                seed=task.seed,
+                reason=kind,
+                attempts=unit.attempts,
+                error=error_text,
+                traceback=tb,
+            ))
+            self._trace(key, "failed", task, unit,
+                        extra={"failure_reason": kind, "error": error_text,
+                               "attempts": unit.attempts})
+            self._report(key, "failed")
 
-    # -- serial execution ----------------------------------------------
-    def run_serial(self) -> None:
-        """In-process execution (timeouts cannot preempt; crash/error
-        injection still exercises the retry/quarantine policy)."""
-        ex = self._ex
-        while self._queue:
-            unit = self._queue.popleft()
-            delay = unit.not_before - time.perf_counter()
-            if delay > 0:
-                time.sleep(min(delay, _MAX_BACKOFF_S))
-            try:
-                results, report = ex._execute_inline(unit)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                kind = "crash" if isinstance(exc, InjectedCrash) else "error"
-                self._handle_failure(unit, kind, exc)
-                continue
-            self._deliver(unit, results, report)
+    # -- books ----------------------------------------------------------
+    def _deliver(self, unit: _WorkUnit, results: List[SimulationResult],
+                 report: _UnitReport) -> None:
+        """Book a finished unit: relay its worker records once, then store,
+        journal, trace and report each of its cells."""
+        ex = self.ex
+        if report.profile is not None:
+            ex.profile_stats.append(report.profile)
+        for record in report.records:
+            self.tel.emit(record)
+        for task, key, result in zip(unit.tasks, unit.keys, results):
+            # ``key`` is the campaign's key for the cell; ``task`` is the
+            # descriptor that actually executed (they differ only for a
+            # scalar-degraded cell, whose result is cached under its own
+            # scalar key but resolved/journaled under the campaign key).
+            self.resolved[key] = result
+            self.stats.executed += 1
+            if task.resolved_simulator() == "batched":
+                self.stats.batched_cells += 1
+            if ex._cache is not None:
+                path = ex._cache.store(task, result)
+                if ex._faults is not None:
+                    ex._faults.tear_after_write(
+                        "torn-cache", task.task_key(), task.label, path)
+            if ex._journal is not None:
+                ex._journal.record(key, result, label=task.label)
+                if ex._faults is not None:
+                    ex._faults.tear_after_write(
+                        "torn-journal", key, task.label, ex._journal.path)
+            self._trace(key, "run", task, unit, report)
+            self._report(key, "run")
 
-    # -- parallel execution --------------------------------------------
-    def _pop_dispatchable(self, now: float,
-                          suspects_in_flight: int) -> Optional[_WorkUnit]:
-        for index, unit in enumerate(self._queue):
-            if unit.not_before > now:
-                continue
-            if unit.suspect and suspects_in_flight > 0:
-                # One suspect at a time: if the pool dies again, the lone
-                # suspect in flight is unambiguously the culprit.
-                continue
-            del self._queue[index]
-            return unit
-        return None
+    def _trace(self, key: str, source: str, task: RunTask,
+               unit: Optional[_WorkUnit] = None,
+               report: Optional[_UnitReport] = None,
+               extra: Optional[Dict[str, Any]] = None) -> None:
+        """Emit the cell's ``task`` record (no-op without telemetry)."""
+        if not self.tel.enabled:
+            return
+        execute_s = report.execute_s if report is not None else None
+        record = {
+            "type": "task",
+            "key": key,
+            "label": task.label,
+            "backend": task.resolved_simulator(),
+            "source": source,
+            "cache_hit": source == "cache",
+            "t0": time.time(),
+            "group": unit.group_id if unit is not None else None,
+            "worker_pid": report.pid if report is not None else None,
+            "queue_wait_s": (report.queue_wait_s if report is not None
+                             else None),
+            "execute_s": execute_s,
+            "cells_per_s": (len(unit.tasks) / execute_s
+                            if execute_s else None),
+            "fallback_reason": self.fallbacks.get(key),
+        }
+        if extra:
+            record.update(extra)
+        self.tel.emit(record)
 
-    def _wait_budget(self, in_flight: Dict[Any, Tuple[_WorkUnit, float]],
-                     workers: int) -> Optional[float]:
-        now = time.perf_counter()
-        budget: Optional[float] = None
-        deadlines = [dl for _, dl in in_flight.values() if dl != math.inf]
-        if deadlines:
-            budget = max(0.0, min(deadlines) - now) + 0.01
-        if self._queue and len(in_flight) < workers:
-            # A queued unit is waiting on backoff (or on the suspect slot):
-            # wake up when the earliest becomes dispatchable.
-            release = max(0.05, min(u.not_before for u in self._queue) - now)
-            budget = release if budget is None else min(budget, release)
-        return budget
+    def _report(self, key: str, source: str) -> None:
+        """Count one finished cell and send the progress event."""
+        self.completed += 1
+        elapsed = time.perf_counter() - self.started
+        self.window.append((elapsed, self.completed))
+        if self.ex._progress is None:
+            return
+        span = elapsed - self.window[0][0]
+        gain = self.completed - self.window[0][1]
+        if span > 0 and gain > 0:
+            rolling = gain / span
+        elif elapsed > 0:
+            rolling = self.completed / elapsed
+        else:
+            rolling = 0.0
+        remaining = len(self.cells) - self.completed
+        task = self.cells[key]
+        self.ex._progress(CampaignEvent(
+            completed=self.completed,
+            total=len(self.cells),
+            label=task.label,
+            key=key,
+            source=source,
+            elapsed_s=elapsed,
+            backend=task.resolved_simulator(),
+            rolling_cells_per_s=rolling,
+            eta_s=remaining / rolling if rolling > 0 else None,
+        ))
 
-    def run_parallel(self, workers: int) -> None:
-        ex = self._ex
-        timeout = ex._task_timeout_s
-        pool = ex._new_pool(workers)
-        in_flight: Dict[Any, Tuple[_WorkUnit, float]] = {}
-        suspects = 0
-        try:
-            while self._queue or in_flight:
-                now = time.perf_counter()
-                while self._queue and len(in_flight) < workers:
-                    unit = self._pop_dispatchable(now, suspects)
-                    if unit is None:
-                        break
-                    try:
-                        future = pool.submit(
-                            _execute_unit, tuple(unit.tasks), unit.batched,
-                            time.time(), ex._telemetry.enabled, ex._profile,
-                            ex._faults, True, ex._probe,
-                        )
-                    except BrokenExecutor as exc:
-                        self._queue.appendleft(unit)
-                        pool = self._recover(pool, workers, in_flight,
-                                             [], exc)
-                        suspects = 0
-                        now = time.perf_counter()
-                        continue
-                    if unit.suspect:
-                        suspects += 1
-                    deadline = now + timeout if timeout is not None else math.inf
-                    in_flight[future] = (unit, deadline)
-                if not in_flight:
-                    if not self._queue:
-                        break
-                    pause = (min(u.not_before for u in self._queue)
-                             - time.perf_counter())
-                    if pause > 0:
-                        time.sleep(min(pause, 1.0))
-                    continue
-                done, _ = wait(set(in_flight),
-                               timeout=self._wait_budget(in_flight, workers),
-                               return_when=FIRST_COMPLETED)
-                lost: List[_WorkUnit] = []
-                broken: Optional[BaseException] = None
-                for future in done:
-                    unit, _ = in_flight.pop(future)
-                    if unit.suspect:
-                        suspects -= 1
-                    try:
-                        results, report = future.result()
-                    except BrokenExecutor as exc:
-                        broken = exc
-                        lost.append(unit)
-                    except Exception as exc:
-                        self._handle_failure(unit, "error", exc)
-                    else:
-                        self._deliver(unit, results, report)
-                if broken is not None:
-                    pool = self._recover(pool, workers, in_flight, lost,
-                                         broken)
-                    suspects = 0
-                    continue
-                if timeout is not None:
-                    now = time.perf_counter()
-                    expired = {f for f, (u, dl) in in_flight.items()
-                               if dl <= now}
-                    if expired:
-                        pool = self._expire(pool, workers, in_flight,
-                                            expired, timeout)
-                        suspects = 0
-            pool.shutdown(wait=True)
-        except KeyboardInterrupt:
-            self._drain_on_interrupt(pool, in_flight)
-            raise
-        except BaseException:
-            _kill_pool(pool)
-            raise
-
-    # -- crash recovery ------------------------------------------------
-    def _recover(self, pool: ProcessPoolExecutor, workers: int,
-                 in_flight: Dict[Any, Tuple[_WorkUnit, float]],
-                 lost: List[_WorkUnit],
-                 cause: BaseException) -> ProcessPoolExecutor:
-        """A worker died: rebuild the pool, re-dispatch only lost units.
-
-        Attribution is inherently ambiguous — every in-flight future fails
-        with ``BrokenProcessPool`` when any worker dies — so only a *lone*
-        lost unit, or a unit already marked suspect, is charged an attempt.
-        The rest are marked suspect and re-dispatched uncharged (suspects
-        then run one at a time, making the next crash attributable).
-        """
-        ex = self._ex
-        for future, (unit, _) in list(in_flight.items()):
-            del in_flight[future]
-            got = None
-            if future.done() and not future.cancelled():
-                try:
-                    got = future.result()
-                except BaseException:
-                    got = None
-            if got is not None:
-                self._deliver(unit, got[0], got[1])
-            else:
-                lost.append(unit)
-        self._stats.recoveries += 1
-        with ex._telemetry.span("recover", cause=type(cause).__name__,
-                                lost_units=len(lost)):
-            _kill_pool(pool)
-            pool = ex._new_pool(workers)
-        print(
-            f"[campaign] worker process died ({type(cause).__name__}); "
-            f"rebuilt the pool and re-dispatched {len(lost)} lost unit(s)",
-            file=sys.stderr, flush=True,
-        )
-        for unit in lost:
-            if unit.suspect or len(lost) == 1:
-                self._handle_failure(unit, "crash", cause)
-            else:
-                unit.suspect = True
-                unit.not_before = 0.0
-                self._queue.appendleft(unit)
-        return pool
-
-    def _expire(self, pool: ProcessPoolExecutor, workers: int,
-                in_flight: Dict[Any, Tuple[_WorkUnit, float]],
-                expired: set, timeout: float) -> ProcessPoolExecutor:
-        """Some units exceeded the task timeout: kill the pool, charge them.
-
-        A hung worker cannot be reclaimed any other way — the pool has no
-        per-task cancellation — so the whole pool is torn down.  Expired
-        units are charged a timeout; innocent in-flight units re-dispatch
-        uncharged.
-        """
-        ex = self._ex
-        timed_out: List[_WorkUnit] = []
-        survivors: List[_WorkUnit] = []
-        for future, (unit, _) in list(in_flight.items()):
-            del in_flight[future]
-            if future.done() and not future.cancelled():
-                try:
-                    results, report = future.result()
-                except BaseException as exc:
-                    self._handle_failure(unit, "error", exc)
-                else:
-                    self._deliver(unit, results, report)
-                continue
-            if future in expired:
-                timed_out.append(unit)
-            else:
-                survivors.append(unit)
-        self._stats.recoveries += 1
-        with ex._telemetry.span("recover", cause="timeout",
-                                lost_units=len(timed_out)):
-            _kill_pool(pool)
-            pool = ex._new_pool(workers)
-        print(
-            f"[campaign] {len(timed_out)} unit(s) exceeded the "
-            f"{timeout:g}s task timeout; killed the worker pool and "
-            f"re-dispatched {len(survivors)} innocent unit(s)",
-            file=sys.stderr, flush=True,
-        )
-        for unit in timed_out:
-            self._stats.timeouts += 1
-            self._handle_failure(
-                unit, "timeout",
-                TimeoutError(f"unit exceeded the task timeout of "
-                             f"{timeout:g}s"),
+    # -- finish ---------------------------------------------------------
+    def finish(self, interrupted: bool = False) -> None:
+        """Emit the profile and campaign counters, print the failure
+        report, and book the stats on the executor."""
+        ex, tel, stats = self.ex, self.tel, self.stats
+        if ex._profile and tel.enabled and ex.profile_stats and not interrupted:
+            tel.emit({
+                "type": "profile",
+                "t0": time.time(),
+                "units": len(ex.profile_stats),
+                "top": top_hotspots(ex.profile_stats),
+            })
+        if stats.failures:
+            print(
+                f"[campaign] {len(stats.failures)} task(s) quarantined "
+                f"after repeated failures:", file=sys.stderr, flush=True,
             )
-        for unit in survivors:
-            unit.not_before = 0.0
-            self._queue.appendleft(unit)
-        return pool
-
-    def _drain_on_interrupt(
-        self, pool: ProcessPoolExecutor,
-        in_flight: Dict[Any, Tuple[_WorkUnit, float]],
-    ) -> None:
-        """Ctrl-C: cancel queued work, give in-flight units a short grace
-        period to finish (their results are delivered and journaled), then
-        tear the pool down."""
-        dropped = len(self._queue)
-        self._queue.clear()
-        grace = min(self._ex._task_timeout_s or 5.0, 5.0)
-        print(
-            f"[campaign] interrupt: cancelled {dropped} queued unit(s), "
-            f"draining {len(in_flight)} in-flight unit(s) "
-            f"(up to {grace:.0f}s)", file=sys.stderr, flush=True,
-        )
-        try:
-            done, _ = wait(set(in_flight), timeout=grace)
-            for future in done:
-                unit, _ = in_flight.pop(future)
-                try:
-                    results, report = future.result()
-                except BaseException:
-                    continue
-                self._deliver(unit, results, report)
-        finally:
-            _kill_pool(pool)
+            for failed in stats.failures:
+                print(f"  - {failed.describe()}", file=sys.stderr, flush=True)
+        if tel.enabled:
+            fault_counters = {
+                name: value
+                for name, value in (
+                    ("retries", stats.retries),
+                    ("timeouts", stats.timeouts),
+                    ("recoveries", stats.recoveries),
+                    ("quarantined", len(stats.failures)),
+                    ("degraded_groups", stats.degraded_groups),
+                    ("scalar_retries", stats.scalar_retries),
+                    ("journal_hits", stats.journaled),
+                    ("cache_corrupt", stats.cache_corrupt),
+                    ("interrupted", int(interrupted)),
+                )
+                if value
+            }
+            if fault_counters:
+                tel.counters("campaign", fault_counters)
+        ex.last_run_stats = stats
+        ex.stats.merge(stats)
+        if interrupted:
+            print(
+                f"[campaign] interrupted: {self.completed}/{len(self.cells)} "
+                f"task(s) complete"
+                + (f"; progress journaled in {ex._journal.path} "
+                   f"(re-run with the same journal to resume)"
+                   if ex._journal is not None else ""),
+                file=sys.stderr, flush=True,
+            )
 
 
 class CampaignExecutor:
@@ -794,8 +1021,6 @@ class CampaignExecutor:
     cache_dir:
         When given, completed cells are stored as JSON under this directory
         and later campaigns skip any cell whose task hash is already present.
-    use_cache:
-        Set False to ignore ``cache_dir`` entirely (force re-simulation).
     progress:
         Optional callback receiving a :class:`CampaignEvent` per completed
         cell (see :func:`stderr_progress`).
@@ -850,7 +1075,6 @@ class CampaignExecutor:
         self,
         jobs: int = 1,
         cache_dir: Optional[os.PathLike] = None,
-        use_cache: bool = True,
         progress: Optional[Callable[[CampaignEvent], None]] = None,
         backend: str = "auto",
         telemetry: Optional[Union[Telemetry, NullTelemetry]] = None,
@@ -877,9 +1101,7 @@ class CampaignExecutor:
             raise ValueError("retry_backoff_s must be non-negative")
         self._jobs = int(jobs)
         self._backend = backend
-        self._cache = (
-            ResultCache(cache_dir) if (cache_dir is not None and use_cache) else None
-        )
+        self._cache = ResultCache(cache_dir) if cache_dir is not None else None
         self._progress = progress
         self._telemetry = telemetry if telemetry is not None else NULL
         self._profile = bool(profile)
@@ -910,20 +1132,8 @@ class CampaignExecutor:
         return self._backend
 
     @property
-    def cache(self) -> Optional[ResultCache]:
-        return self._cache
-
-    @property
-    def telemetry(self) -> Union[Telemetry, NullTelemetry]:
-        return self._telemetry
-
-    @property
     def journal(self) -> Optional[CampaignJournal]:
         return self._journal
-
-    @property
-    def probe(self) -> Optional[ProbeConfig]:
-        return self._probe
 
     def close(self) -> None:
         """Flush and close the journal (results remain resumable)."""
@@ -937,10 +1147,6 @@ class CampaignExecutor:
         return hotspot_report(self.profile_stats, limit)
 
     # ------------------------------------------------------------------
-    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_ignore_sigint)
-
     def _backoff_s(self, attempts: int, key: str) -> float:
         """Exponential backoff with deterministic per-task jitter.
 
@@ -954,30 +1160,6 @@ class CampaignExecutor:
         delay = self._retry_backoff_s * (2 ** (attempts - 1)) * jitter
         return min(delay, _MAX_BACKOFF_S)
 
-    def _execute_inline(
-        self, unit: _WorkUnit,
-    ) -> Tuple[List[SimulationResult], Optional[_UnitReport]]:
-        """Run one unit in-process (serial mode)."""
-        tel = self._telemetry
-        if not (tel.enabled or self._profile or self._faults is not None
-                or self._probe is not None):
-            if unit.batched:
-                return execute_batch(unit.tasks), None
-            return [execute_task(task) for task in unit.tasks], None
-        results, report = _execute_unit(
-            tuple(unit.tasks), unit.batched, time.time(), tel.enabled,
-            self._profile, self._faults, allow_exit=False,
-            probe=self._probe,
-        )
-        return results, report
-
-    def _absorb_report(self, report: _UnitReport) -> None:
-        if report.profile is not None:
-            self.profile_stats.append(report.profile)
-        for rec in report.records:
-            self._telemetry.emit(rec)
-
-    # ------------------------------------------------------------------
     def _resolve_backend(self, task: RunTask) -> Tuple[RunTask, Optional[str]]:
         """Rewrite an ``auto`` task to the backend this policy selects.
 
@@ -1022,311 +1204,13 @@ class CampaignExecutor:
         of aborting.  A :class:`KeyboardInterrupt` drains in-flight work,
         flushes the journal, prints the partial summary, then re-raises.
         """
-        tel = self._telemetry
-        stats = CampaignStats(total=len(tasks))
-        started = time.perf_counter()
-
-        with tel.span("plan", tasks=len(tasks)) as plan_args:
-            resolutions = [self._resolve_backend(task) for task in tasks]
-            tasks = [task for task, _ in resolutions]
-
-            # Deduplicate by content hash, preserving first-seen order; the
-            # fallback diagnosis travels with the unique cell.
-            first_task: Dict[str, RunTask] = {}
-            positions: Dict[str, List[int]] = {}
-            fallbacks: Dict[str, str] = {}
-            fallback_counts: Dict[str, int] = {}
-            for index, (task, reason) in enumerate(resolutions):
-                key = task.task_key()
-                if key in positions:
-                    stats.deduplicated += 1
-                else:
-                    first_task[key] = task
-                    if reason is not None:
-                        stats.fallbacks += 1
-                        fallbacks[key] = reason
-                        fallback_counts[reason] = fallback_counts.get(reason, 0) + 1
-                positions.setdefault(key, []).append(index)
-            plan_args["unique"] = len(first_task)
-            plan_args["fallbacks"] = stats.fallbacks
-
-        for reason, count in sorted(fallback_counts.items()):
-            print(
-                f"[campaign] {count} hidden-node cell(s) fell back from the "
-                f"conflict-matrix backend to the event-driven simulator: "
-                f"{reason}",
-                file=sys.stderr, flush=True,
-            )
-
-        resolved: Dict[str, SimulationResult] = {}
-        completed = 0
-        # Rolling completion window for the progress line's rate and ETA.
-        window: deque = deque(maxlen=32)
-
-        def report(key: str, source: str) -> None:
-            nonlocal completed
-            completed += 1
-            elapsed = time.perf_counter() - started
-            window.append((elapsed, completed))
-            if self._progress is not None:
-                span = elapsed - window[0][0]
-                gain = completed - window[0][1]
-                if span > 0 and gain > 0:
-                    rolling = gain / span
-                elif elapsed > 0:
-                    rolling = completed / elapsed
-                else:
-                    rolling = 0.0
-                remaining = len(first_task) - completed
-                eta = remaining / rolling if rolling > 0 else None
-                self._progress(CampaignEvent(
-                    completed=completed,
-                    total=len(first_task),
-                    label=first_task[key].label,
-                    key=key,
-                    source=source,
-                    elapsed_s=elapsed,
-                    backend=first_task[key].resolved_simulator(),
-                    rolling_cells_per_s=rolling,
-                    eta_s=eta,
-                ))
-
-        def trace_task(key: str, source: str, task: RunTask,
-                       group: Optional[int] = None,
-                       unit: Optional[_UnitReport] = None,
-                       unit_cells: int = 1,
-                       extra: Optional[Dict[str, Any]] = None) -> None:
-            if not tel.enabled:
-                return
-            execute_s = unit.execute_s if unit is not None else None
-            record = {
-                "type": "task",
-                "key": key,
-                "label": task.label,
-                "backend": task.resolved_simulator(),
-                "source": source,
-                "cache_hit": source == "cache",
-                "t0": time.time(),
-                "group": group,
-                "worker_pid": unit.pid if unit is not None else None,
-                "queue_wait_s": unit.queue_wait_s if unit is not None else None,
-                "execute_s": execute_s,
-                "cells_per_s": (unit_cells / execute_s
-                                if execute_s else None),
-                "fallback_reason": fallbacks.get(key),
-            }
-            if extra:
-                record.update(extra)
-            tel.emit(record)
-
-        def record(key: str, task: RunTask, result: SimulationResult,
-                   group: Optional[int] = None,
-                   unit: Optional[_UnitReport] = None,
-                   unit_cells: int = 1) -> None:
-            # ``key`` is the campaign's key for the cell; ``task`` is the
-            # descriptor that actually executed (they differ only for a
-            # scalar-degraded cell, whose result is cached under its own
-            # scalar key but resolved/journaled under the campaign key).
-            resolved[key] = result
-            stats.executed += 1
-            if task.resolved_simulator() == "batched":
-                stats.batched_cells += 1
-            self._store(task, result)
-            if self._journal is not None:
-                self._journal.record(key, result, label=task.label)
-                if self._faults is not None:
-                    self._faults.tear_after_write(
-                        "torn-journal", key, task.label, self._journal.path)
-            trace_task(key, "run", task, group=group, unit=unit,
-                       unit_cells=unit_cells)
-            report(key, "run")
-
-        def note_fallback(key: str, reason: str) -> None:
-            fallbacks[key] = reason
-
-        def deliver(unit: _WorkUnit, results: List[SimulationResult],
-                    unit_report: Optional[_UnitReport]) -> None:
-            if unit_report is not None:
-                # Relay the worker's simulator counters / profile exactly
-                # once per delivered unit (serial and parallel both land
-                # here, including recovery-harvested futures).
-                self._absorb_report(unit_report)
-            for task, key, result in zip(unit.tasks, unit.keys, results):
-                record(key, task, result, group=unit.group_id,
-                       unit=unit_report, unit_cells=len(unit.tasks))
-
-        def quarantine(unit: _WorkUnit, kind: str, exc: BaseException) -> None:
-            error_text = f"{type(exc).__name__}: {exc}"
-            tb = "".join(traceback_module.format_exception(
-                type(exc), exc, exc.__traceback__))
-            for task, key in zip(unit.tasks, unit.keys):
-                stats.failures.append(FailedTask(
-                    key=key,
-                    label=task.label,
-                    backend=task.resolved_simulator(),
-                    seed=task.seed,
-                    reason=kind,
-                    attempts=unit.attempts,
-                    error=error_text,
-                    traceback=tb,
-                ))
-                trace_task(key, "failed", task, group=unit.group_id,
-                           extra={"failure_reason": kind,
-                                  "error": error_text,
-                                  "attempts": unit.attempts})
-                report(key, "failed")
-
-        # Serve journaled cells first (a resumed campaign skips them), then
-        # cache hits, so only true misses reach the pool.
-        if self._journal is not None:
-            with tel.span("journal-lookup",
-                          candidates=len(first_task)) as journal_args:
-                for key, task in first_task.items():
-                    hit = self._journal.lookup(key)
-                    if hit is not None:
-                        resolved[key] = hit
-                        stats.journaled += 1
-                        trace_task(key, "journal", task)
-                        report(key, "journal")
-                journal_args["hits"] = stats.journaled
-
-        pending: List[str] = []
-        corrupt_before = (self._cache.corrupt_entries
-                          if self._cache is not None else 0)
-        candidates = [key for key in first_task if key not in resolved]
-        with tel.span("cache-lookup", candidates=len(candidates)) as cache_args:
-            # The cache reports corrupt-entry counters through the ambient
-            # telemetry session; install ours so they land in this trace.
-            with telemetry_session(tel if tel.enabled else None):
-                for key in candidates:
-                    cached = (self._cache.load(key)
-                              if self._cache is not None else None)
-                    if cached is not None:
-                        resolved[key] = cached
-                        stats.cached += 1
-                        trace_task(key, "cache", first_task[key])
-                        report(key, "cache")
-                    else:
-                        pending.append(key)
-            cache_args["hits"] = stats.cached
-            cache_args["misses"] = len(pending)
-            if self._cache is not None:
-                stats.cache_corrupt = (self._cache.corrupt_entries
-                                       - corrupt_before)
-                if stats.cache_corrupt:
-                    cache_args["corrupt"] = stats.cache_corrupt
-
-        # Group pending batched tasks into vectorized units of work (split to
-        # keep every worker busy when running in a pool); every other pending
-        # task is a scalar unit of its own.
-        with tel.span("group") as group_args:
-            batch_groups = plan_batches(
-                [
-                    first_task[key] for key in pending
-                    if first_task[key].resolved_simulator() == "batched"
-                ],
-                target_units=self._jobs if self._jobs > 1 else None,
-            )
-            scalar_keys = [
-                key for key in pending
-                if first_task[key].resolved_simulator() != "batched"
-            ]
-            group_args["batch_groups"] = len(batch_groups)
-            group_args["scalar_units"] = len(scalar_keys)
-
+        campaign = _CampaignRun(self, len(tasks))
+        keys = campaign.plan(tasks)
+        pending = campaign.serve()
         try:
-            if pending:
-                units = [
-                    _WorkUnit(
-                        tasks=list(group),
-                        keys=[task.task_key() for task in group],
-                        batched=True,
-                        group_id=index,
-                    )
-                    for index, group in enumerate(batch_groups)
-                ] + [
-                    _WorkUnit(tasks=[first_task[key]], keys=[key],
-                              batched=False)
-                    for key in scalar_keys
-                ]
-                # A single unit still goes through the pool when a timeout
-                # or fault plan needs a killable worker process.
-                serial = self._jobs == 1 or (
-                    len(units) == 1 and self._task_timeout_s is None
-                )
-                workers = min(self._jobs, len(units))
-                mode = "serial" if serial else "parallel"
-                with tel.span("dispatch", mode=mode, units=len(units),
-                              workers=workers):
-                    scheduler = _UnitScheduler(
-                        self, units, stats, deliver, quarantine, note_fallback,
-                    )
-                if serial:
-                    with tel.span("execute", mode="serial"):
-                        scheduler.run_serial()
-                else:
-                    with tel.span("execute", mode="parallel",
-                                  workers=workers):
-                        scheduler.run_parallel(workers)
+            campaign.execute(pending)
         except KeyboardInterrupt:
-            self._finish_run(stats, tel, interrupted=True)
-            print(
-                f"[campaign] interrupted: {completed}/{len(first_task)} "
-                f"task(s) complete"
-                + (f"; progress journaled in {self._journal.path} "
-                   f"(re-run with the same journal to resume)"
-                   if self._journal is not None else ""),
-                file=sys.stderr, flush=True,
-            )
+            campaign.finish(interrupted=True)
             raise
-
-        if self._profile and tel.enabled and self.profile_stats:
-            tel.emit({
-                "type": "profile",
-                "t0": time.time(),
-                "units": len(self.profile_stats),
-                "top": top_hotspots(self.profile_stats),
-            })
-
-        self._finish_run(stats, tel)
-        return [resolved.get(task.task_key()) for task in tasks]
-
-    def _finish_run(self, stats: CampaignStats,
-                    tel: Union[Telemetry, NullTelemetry],
-                    interrupted: bool = False) -> None:
-        """Book stats, emit campaign counters, print the failure report."""
-        if stats.failures:
-            print(
-                f"[campaign] {len(stats.failures)} task(s) quarantined "
-                f"after repeated failures:", file=sys.stderr, flush=True,
-            )
-            for failed in stats.failures:
-                print(f"  - {failed.describe()}", file=sys.stderr, flush=True)
-        if tel.enabled:
-            fault_counters = {
-                name: value
-                for name, value in (
-                    ("retries", stats.retries),
-                    ("timeouts", stats.timeouts),
-                    ("recoveries", stats.recoveries),
-                    ("quarantined", len(stats.failures)),
-                    ("degraded_groups", stats.degraded_groups),
-                    ("scalar_retries", stats.scalar_retries),
-                    ("journal_hits", stats.journaled),
-                    ("cache_corrupt", stats.cache_corrupt),
-                    ("interrupted", int(interrupted)),
-                )
-                if value
-            }
-            if fault_counters:
-                tel.counters("campaign", fault_counters)
-        self.last_run_stats = stats
-        self.stats.merge(stats)
-
-    # ------------------------------------------------------------------
-    def _store(self, task: RunTask, result: SimulationResult) -> None:
-        if self._cache is not None:
-            path = self._cache.store(task, result)
-            if self._faults is not None:
-                self._faults.tear_after_write(
-                    "torn-cache", task.task_key(), task.label, path)
+        campaign.finish()
+        return [campaign.resolved.get(key) for key in keys]

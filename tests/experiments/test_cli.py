@@ -4,6 +4,12 @@ import pytest
 
 from repro.experiments import EXPERIMENT_REGISTRY
 from repro.experiments.__main__ import _ANALYTICAL, build_parser, main
+from repro.experiments.campaign import (
+    ResultCache,
+    RunTask,
+    SchemeSpec,
+    TopologySpec,
+)
 from repro.experiments.runner import ExperimentResult, ExperimentRow
 
 
@@ -102,6 +108,26 @@ class TestBackendFlag:
         assert seen["backend"] == "batched"
         assert main(["fig3"]) == 0
         assert seen["backend"] == "auto"
+
+
+class TestCacheFlags:
+    def test_no_cache_ignores_cache_dir(self, monkeypatch, tmp_path, capsys):
+        """A cell cached under --cache-dir is simulated again with --no-cache."""
+        task = RunTask(scheme=SchemeSpec.make("standard-802.11"),
+                       topology=TopologySpec.connected(4), seed=1,
+                       duration=0.2, warmup=0.05)
+        executed = []
+
+        def runner(config, executor=None):
+            executor.run([task])
+            executed.append(executor.last_run_stats.executed)
+            return _stub_runner("fig3")(config, executor=executor)
+
+        monkeypatch.setitem(EXPERIMENT_REGISTRY, "fig3", runner)
+        assert main(["fig3", "--cache-dir", str(tmp_path)]) == 0
+        assert len(ResultCache(tmp_path)) == 1
+        assert main(["fig3", "--cache-dir", str(tmp_path), "--no-cache"]) == 0
+        assert executed == [1, 1]
 
 
 class TestMain:

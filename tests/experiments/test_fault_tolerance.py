@@ -400,7 +400,10 @@ class TestGracefulInterrupt:
         # The journal holds the completed cell and resumes cleanly.
         resumed = CampaignExecutor(jobs=1, cache_dir=tmp_path / "c2",
                                    journal=journal_path)
-        results = resumed.run(tasks)
+        try:
+            results = resumed.run(tasks)
+        finally:
+            resumed.close()
         assert all(r is not None for r in results)
         assert resumed.stats.journaled == 1
 

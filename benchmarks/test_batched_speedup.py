@@ -46,7 +46,7 @@ def test_batched_backend_speedup_on_fig3_grid(benchmark, bench_config_connected,
         return result, time.perf_counter() - started
 
     batched, batched_s = benchmark.pedantic(
-        run, args=("batched",), rounds=1, iterations=1
+        run, args=("auto",), rounds=1, iterations=1
     )
     slotted, slotted_s = run("slotted")
     speedup = slotted_s / batched_s

@@ -82,7 +82,7 @@ def test_conflict_backend_speedup_on_fig6_fig7_grids(benchmark, bench_json,
         return results, time.perf_counter() - started, executor.last_run_stats
 
     (batched, batched_s, batched_stats) = benchmark.pedantic(
-        run, args=("batched",), rounds=1, iterations=1
+        run, args=("auto",), rounds=1, iterations=1
     )
     event, event_s, _ = run("event")
     speedup = event_s / batched_s

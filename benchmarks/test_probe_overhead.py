@@ -47,7 +47,7 @@ def test_probe_overhead_on_fig3_batched_grid(benchmark,
         # full tracing session: the ratio measures the real --probe-interval
         # cost on top of a plain run, not probes in isolation.
         executor = CampaignExecutor(
-            jobs=1, backend="batched",
+            jobs=1, backend="auto",
             telemetry=Telemetry(sink=sunk.append, keep_records=False)
             if enabled else None,
             probe=probe if enabled else None,

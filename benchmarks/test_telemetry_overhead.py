@@ -43,7 +43,7 @@ def test_telemetry_overhead_on_fig3_batched_grid(benchmark,
     )
 
     def run(telemetry):
-        executor = CampaignExecutor(jobs=1, backend="batched",
+        executor = CampaignExecutor(jobs=1, backend="auto",
                                     telemetry=telemetry)
         started = time.perf_counter()
         result = run_fig3(config, executor=executor, include_optimum=False)

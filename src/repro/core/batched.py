@@ -18,7 +18,9 @@ machines as *banks* whose state variables are 1-D arrays over cells:
 
 Every update uses the same gain schedule, clipping bounds, normalisation and
 thresholds as the scalar controllers, so a batch of one cell follows the
-exact same trajectory modulo RNG stream consumption order.
+exact same trajectory modulo RNG stream consumption order.  The banks take
+every scheme parameter explicitly: the defaults are the scheme kind's, in
+:data:`repro.mac.schemes.SCHEME_KINDS`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from ..phy.constants import DEFAULT_BIT_RATE, PhyParameters
 from .kiefer_wolfowitz import GainSchedule
 from .mapping import LogMapping
-from .tora import DEFAULT_HIGH_THRESHOLD, DEFAULT_LOW_THRESHOLD
 from .wtop import CONTROLLER_GAIN_SCHEDULE, DEFAULT_P_MAX
 
 __all__ = [
@@ -257,8 +258,8 @@ class BatchedWTopBank(_BatchedAdaptiveBank):
         self,
         num_cells: int,
         phy: PhyParameters,
-        update_period: float = 0.25,
-        initial_control: float = 0.5,
+        update_period: float,
+        initial_control: float,
         initial_p: Optional[float] = None,
         throughput_scale: float = DEFAULT_BIT_RATE,
         initial_k: int = 2,
@@ -301,11 +302,11 @@ class BatchedToraBank(_BatchedAdaptiveBank):
         self,
         num_cells: int,
         phy: PhyParameters,
-        update_period: float = 0.25,
-        initial_p0: float = 0.5,
-        initial_stage: int = 0,
-        low_threshold: float = DEFAULT_LOW_THRESHOLD,
-        high_threshold: float = DEFAULT_HIGH_THRESHOLD,
+        update_period: float,
+        initial_p0: float,
+        initial_stage: int,
+        low_threshold: float,
+        high_threshold: float,
         throughput_scale: float = DEFAULT_BIT_RATE,
         initial_k: int = 2,
     ) -> None:

@@ -21,7 +21,6 @@ from .campaign import (
     ResultCache,
     RunTask,
     SchemeSpec,
-    SweepSpec,
     TopologySpec,
     derive_seed,
     execute_task,
@@ -85,7 +84,6 @@ __all__ = [
     "ResultCache",
     "RunTask",
     "SchemeSpec",
-    "SweepSpec",
     "TopologySpec",
     "derive_seed",
     "execute_task",

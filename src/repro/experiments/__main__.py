@@ -93,10 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
             "fully connected cells, conflict-matrix kernel for hidden-node "
             "cells) and everything else on the scalar slotted/event "
             "simulators, 'slotted' is the scalar-only policy, 'event' "
-            "forces event-driven simulation, 'batched' makes the batched "
-            "preference explicit; cells with no batched kernel (dynamic-"
-            "activity hidden-node scenarios, n-estimating schemes) always "
-            "fall back to the scalar simulators"
+            "forces event-driven simulation; cells with no batched kernel "
+            "(dynamic-activity hidden-node scenarios, n-estimating schemes) "
+            "always fall back to the scalar simulators"
         ),
     )
     parser.add_argument(
@@ -179,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit wall-clock budget under --jobs > 1: a hung unit's "
-             "worker pool is torn down and the unit retried (default: no "
-             "timeout)",
+        help="per-unit wall-clock budget: a hung unit's worker pool is "
+             "torn down and the unit retried; with a timeout every unit runs "
+             "in a worker process, --jobs 1 included (default: no timeout)",
     )
     parser.add_argument(
         "--task-retries", type=int, default=2, metavar="N",

@@ -6,8 +6,8 @@ embarrassingly parallel.  This package turns that observation into
 infrastructure:
 
 * :mod:`~repro.experiments.campaign.specs` — declarative, picklable
-  :class:`RunTask` / :class:`SweepSpec` descriptors with deterministic
-  per-cell seed derivation (:func:`derive_seed`);
+  :class:`RunTask` descriptors with deterministic per-cell seed derivation
+  (:func:`derive_seed`);
 * :mod:`~repro.experiments.campaign.executor` — :func:`execute_task` (a pure
   function of a descriptor) and :class:`CampaignExecutor`, which fans task
   lists out over a process pool and keeps parallel results bit-identical to
@@ -36,7 +36,6 @@ entire evaluation as one campaign.
 """
 
 from .batching import (
-    batch_eligible,
     batch_key,
     degraded_reason,
     execute_batch,
@@ -65,7 +64,6 @@ from .specs import (
     SCHEME_SPEC_KINDS,
     RunTask,
     SchemeSpec,
-    SweepSpec,
     TopologySpec,
     derive_seed,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "JOURNAL_SCHEMA_VERSION",
     "RESULT_SCHEMA_VERSION",
     "SCHEME_SPEC_KINDS",
-    "batch_eligible",
     "batch_key",
     "degraded_reason",
     "execute_batch",
@@ -93,7 +90,6 @@ __all__ = [
     "ResultCache",
     "RunTask",
     "SchemeSpec",
-    "SweepSpec",
     "TopologySpec",
     "derive_seed",
     "execute_task",

@@ -10,7 +10,7 @@ Two vectorized backends exist, selected by a task's topology family:
   matrix; cells in one batch share everything except station count,
   topology and seed.
 
-This module decides which tasks qualify (:func:`batch_eligible`), groups
+This module decides which tasks qualify (:func:`fallback_reason`), groups
 them (:func:`plan_batches` — the grouping key includes the topology family
 so the two backends never mix inside one call) and executes one group as a
 single vectorized run (:func:`execute_batch`), annotating each cell's
@@ -36,7 +36,6 @@ from ...sim.metrics import SimulationResult
 from .specs import RunTask
 
 __all__ = [
-    "batch_eligible",
     "fallback_reason",
     "degraded_reason",
     "batch_key",
@@ -71,12 +70,8 @@ def fallback_reason(task: RunTask) -> Optional[str]:
     neighbours), so backend resolution stays deterministic and cache keys
     stable across campaigns that submit different task mixes.
     """
-    params = dict(task.scheme.params)
-    if not batchable_scheme(task.scheme.kind, params):
+    if not batchable_scheme(task.scheme.kind, dict(task.scheme.params)):
         return f"unbatchable scheme '{task.scheme.kind}'"
-    weights = params.get("weights")
-    if weights is not None and len(weights) < task.topology.num_stations:
-        return "unbatchable scheme (weight vector shorter than the cell)"
     if task.topology.kind == "connected":
         return None
     if task.topology.kind in ("hidden-disc", "two-cluster"):
@@ -99,18 +94,6 @@ def degraded_reason(kind: str, target: str) -> str:
     """
     return (f"batched kernel failed repeatedly ({kind}); cell re-dispatched "
             f"on the scalar '{target}' simulator")
-
-
-def batch_eligible(task: RunTask) -> bool:
-    """Whether this task can execute on a batched backend.
-
-    Connected tasks need a batched scheme kernel; hidden-node tasks
-    additionally must not use an activity schedule (the conflict-matrix
-    backend does not model dynamic populations — those cells fall back to
-    the event-driven simulator).  See :func:`fallback_reason` for the
-    diagnosis behind a ``False``.
-    """
-    return fallback_reason(task) is None
 
 
 def batch_key(task: RunTask) -> Tuple:

@@ -15,18 +15,21 @@ deduplicates identical tasks, satisfies what it can from a
 :class:`~repro.experiments.campaign.journal.CampaignJournal` checkpoint and
 the :class:`~repro.experiments.campaign.cache.ResultCache`, groups batched
 misses into vectorized calls (:mod:`~repro.experiments.campaign.batching`),
-fans the remaining work out over a ``ProcessPoolExecutor`` (``jobs > 1``)
-or an in-process pool (``jobs == 1``), stores fresh results back into the
-cache, and reports progress through a callback.
+fans the remaining work out over a ``ProcessPoolExecutor`` (``jobs > 1``,
+or any ``jobs`` with a task timeout) or an in-process pool (``jobs == 1``),
+stores fresh results back into the cache, and reports progress through a
+callback.
 
 Fault tolerance
 ---------------
 Campaign-scale runs must survive their own size, so dispatch is built
 around small recoverable *work units* (:class:`_WorkUnit`) and one dispatch
 loop with one failure policy (:class:`_CampaignRun`).  ``jobs=1`` runs
-through the same loop on an in-process pool (:class:`_InlinePool`), where
-units have no deadline: nothing can preempt a call in the campaign's own
-process.  The policy:
+through the same loop on an in-process pool (:class:`_InlinePool`), unless a
+task timeout is set: nothing can preempt a call in the campaign's own
+process, so a timed campaign always runs on a process pool, one worker for
+``jobs=1``.  Pool workers exit on their own when the campaign process dies
+(:func:`_init_worker`).  The policy:
 
 * a dead worker (``BrokenProcessPool``) rebuilds the pool and re-dispatches
   only the lost units — completed results are never recomputed;
@@ -55,6 +58,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import traceback as traceback_module
 from collections import Counter, deque
@@ -111,15 +115,17 @@ __all__ = [
 #: the renewal-slot backend for connected topologies, the conflict-matrix
 #: backend for hidden-node topologies — and falls back to the scalar
 #: simulators; ``slotted`` is the scalar-only policy (the pre-batching
-#: behaviour); ``event`` forces event-driven simulation everywhere;
-#: ``batched`` is an alias of ``auto``'s preference that makes the intent
-#: explicit.  Tasks whose ``simulator`` field is not ``auto`` are never
-#: rewritten; ineligible hidden-node tasks (unbatchable scheme, activity
-#: schedule) use the event simulator.
-BACKENDS = ("auto", "slotted", "event", "batched")
+#: behaviour); ``event`` forces event-driven simulation everywhere.  Tasks
+#: whose ``simulator`` field is not ``auto`` are never rewritten;
+#: ineligible hidden-node tasks (unbatchable scheme, activity schedule) use
+#: the event simulator.
+BACKENDS = ("auto", "slotted", "event")
 
 #: Upper bound on one retry-backoff sleep, whatever the attempt count.
 _MAX_BACKOFF_S = 30.0
+
+#: How often a pool worker checks that the campaign process is alive.
+_PARENT_POLL_S = 1.0
 
 
 def _station_observed_idle(policies) -> Optional[float]:
@@ -271,14 +277,29 @@ def _execute_unit(tasks: Tuple[RunTask, ...], batched: bool, submitted: float,
     return results, report
 
 
-def _ignore_sigint() -> None:
-    """Pool-worker initializer: Ctrl-C is the parent's to handle.
+def _init_worker() -> None:
+    """Pool-worker initializer: Ctrl-C is the parent's to handle, and the
+    worker ends with the campaign process.
 
     A terminal sends SIGINT to the whole process group.  The parent drains
     the in-flight units and then tears the pool down, so a worker keeps
     working instead of dying with a ``KeyboardInterrupt`` traceback.
+
+    A parent killed outright tears nothing down, and its workers would wait
+    on the call queue forever.  A daemon thread watches the parent pid (a
+    dead parent's children are re-parented) and ends the worker within
+    :data:`_PARENT_POLL_S` of the parent's death.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
+
+    def watch_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch_parent, name="watch-parent",
+                     daemon=True).start()
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -605,10 +626,10 @@ class _CampaignRun:
             _WorkUnit(tasks=[self.cells[key]], keys=[key], batched=False)
             for key in scalar
         ]
-        # A single unit still goes through a process pool when a timeout
-        # needs a killable worker.
-        self.serial = ex._jobs == 1 or (
-            len(units) == 1 and ex._task_timeout_s is None)
+        # A timeout needs a killable worker, so a timed campaign runs on a
+        # process pool whatever its job or unit count.
+        self.serial = ex._task_timeout_s is None and (
+            ex._jobs == 1 or len(units) == 1)
         self.workers = min(ex._jobs, len(units))
         mode = "serial" if self.serial else "parallel"
         with tel.span("dispatch", mode=mode, units=len(units),
@@ -622,7 +643,7 @@ class _CampaignRun:
         if self.serial:
             return _InlinePool()
         return ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_ignore_sigint)
+                                   initializer=_init_worker)
 
     def _dispatch(self) -> None:
         """The dispatch loop: submit, wait, settle, recover, until done."""
@@ -688,7 +709,7 @@ class _CampaignRun:
             self.queue.appendleft(unit)
             self._rebuild(exc)
             return
-        timeout = None if self.serial else ex._task_timeout_s
+        timeout = ex._task_timeout_s
         deadline = (time.perf_counter() + timeout if timeout is not None
                     else math.inf)
         self.in_flight[future] = (unit, deadline)
@@ -1014,7 +1035,8 @@ class CampaignExecutor:
     Parameters
     ----------
     jobs:
-        Worker process count.  ``1`` (default) runs tasks in-process;
+        Worker process count.  ``1`` (default) runs tasks in-process
+        (in one worker process when ``task_timeout_s`` is set);
         ``0``/negative means "one per CPU".  Because each task derives all of
         its randomness from its own descriptor, results are bit-identical for
         every value of ``jobs``.
@@ -1036,13 +1058,14 @@ class CampaignExecutor:
         and relays the simulator counters workers collect.  Telemetry never
         influences results: runs with and without it are bit-identical.
     profile:
-        When True, every unit of work runs under :mod:`cProfile` (in the
-        worker processes when ``jobs > 1``); :meth:`profile_report` renders
-        the aggregated top-N hotspots afterwards.
+        When True, every unit of work runs under :mod:`cProfile` (in a
+        worker process when a process pool runs it); :meth:`profile_report`
+        renders the aggregated top-N hotspots afterwards.
     task_timeout_s:
-        Per-unit wall-clock budget (``jobs > 1`` only — an in-process hang
-        cannot be preempted).  An expired unit's worker pool is torn down
-        and rebuilt; the unit is charged one attempt.
+        Per-unit wall-clock budget.  An in-process call cannot be
+        preempted, so with a timeout every unit runs in a worker process
+        (one worker at ``jobs=1``).  An expired unit's worker pool is torn
+        down and rebuilt; the unit is charged one attempt.
     task_retries:
         How many times a failed unit is re-dispatched before quarantine
         (default 2; 0 disables retries).
@@ -1163,11 +1186,11 @@ class CampaignExecutor:
     def _resolve_backend(self, task: RunTask) -> Tuple[RunTask, Optional[str]]:
         """Rewrite an ``auto`` task to the backend this policy selects.
 
-        Explicit simulator choices are always respected.  Under ``auto`` and
-        ``batched``, eligible tasks run vectorized (connected topologies on
-        the renewal-slot backend, hidden-node topologies on the
-        conflict-matrix backend); everything else falls back to the scalar
-        simulators (slotted for connected, event-driven otherwise).
+        Explicit simulator choices are always respected.  Under ``auto``,
+        eligible tasks run vectorized (connected topologies on the
+        renewal-slot backend, hidden-node topologies on the conflict-matrix
+        backend); everything else falls back to the scalar simulators
+        (slotted for connected, event-driven otherwise).
 
         The second element names *why* an ``auto`` hidden-node task degraded
         from the conflict-matrix backend to the much slower event-driven
@@ -1178,7 +1201,7 @@ class CampaignExecutor:
             return task, None
         if self._backend == "event":
             return dataclasses.replace(task, simulator="event"), None
-        if self._backend in ("auto", "batched"):
+        if self._backend == "auto":
             reason = fallback_reason(task)
             if reason is None:
                 return dataclasses.replace(task, simulator="batched"), None

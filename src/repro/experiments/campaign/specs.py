@@ -5,20 +5,20 @@ loops, which made the evaluation inherently serial: nothing described a run
 without executing it.  This module introduces picklable, hashable *value
 objects* that fully describe one simulation:
 
-* :class:`SchemeSpec` — names a MAC scheme factory plus its keyword
-  parameters (schemes themselves hold lambdas and mutable controllers, so
-  they cannot cross process boundaries; the spec is rebuilt in each worker);
+* :class:`SchemeSpec` — names a scheme kind of
+  :data:`repro.mac.schemes.SCHEME_KINDS` plus its keyword parameters
+  (schemes themselves hold lambdas and mutable controllers, so they cannot
+  cross process boundaries; the spec is rebuilt in each worker);
 * :class:`TopologySpec` — a fully connected ring or a seeded uniform-disc
   hidden-node placement;
 * :class:`RunTask` — one complete simulation cell: scheme, topology,
-  activity schedule, PHY, seed, durations and sampling options;
-* :class:`SweepSpec` — a declarative (scheme x station-count x repetition)
-  grid that expands into :class:`RunTask` lists with deterministic per-cell
-  seed derivation (:func:`derive_seed`), so the same spec always yields the
-  same tasks regardless of expansion or execution order.
+  activity schedule, PHY, seed, durations and sampling options.
 
-Every descriptor serialises to canonical JSON (:meth:`RunTask.to_json`), and
-:meth:`RunTask.task_key` hashes that JSON into the stable cache key used by
+:func:`derive_seed` turns any tuple of grid coordinates into a stable
+per-cell seed, so the same grid always yields the same tasks regardless of
+expansion or execution order.  Every descriptor serialises to canonical
+JSON (:meth:`RunTask.to_json`), and :meth:`RunTask.task_key` hashes that
+JSON into the stable cache key used by
 :class:`~repro.experiments.campaign.cache.ResultCache`.
 """
 
@@ -27,19 +27,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
-from ...mac.schemes import (
-    Scheme,
-    fixed_p_persistent_scheme,
-    fixed_randomreset_scheme,
-    idlesense_scheme,
-    n_estimating_scheme,
-    standard_80211_scheme,
-    tora_csma_scheme,
-    wtop_csma_scheme,
-)
+from ...mac.schemes import SCHEME_KINDS, Scheme, scheme_kind
 from ...phy.constants import PhyParameters
 from ...topology.graph import ConnectivityGraph
 from ...topology.scenarios import (
@@ -54,7 +45,6 @@ __all__ = [
     "SchemeSpec",
     "TopologySpec",
     "RunTask",
-    "SweepSpec",
     "derive_seed",
     "CACHE_VERSION",
 ]
@@ -94,40 +84,19 @@ def _jsonable(value):
 # ----------------------------------------------------------------------
 # Scheme specifications
 # ----------------------------------------------------------------------
-def _build_fixed_p(phy, p, weights=None):
-    return fixed_p_persistent_scheme(p, weights)
-
-
-def _build_fixed_randomreset(phy, stage, p0):
-    return fixed_randomreset_scheme(stage, p0, phy)
-
-
-_SCHEME_BUILDERS = {
-    "standard-802.11": lambda phy, **kw: standard_80211_scheme(phy, **kw),
-    "idlesense": lambda phy, **kw: idlesense_scheme(phy, **kw),
-    "wtop-csma": lambda phy, **kw: wtop_csma_scheme(phy, **kw),
-    "tora-csma": lambda phy, **kw: tora_csma_scheme(phy, **kw),
-    "n-estimating": lambda phy, **kw: n_estimating_scheme(phy, **kw),
-    "fixed-p": _build_fixed_p,
-    "fixed-randomreset": _build_fixed_randomreset,
-}
-
 #: Scheme kinds accepted by :meth:`SchemeSpec.make`.
-SCHEME_SPEC_KINDS = tuple(sorted(_SCHEME_BUILDERS))
-
-#: Kinds whose controllers/policies adapt over time (they need the longer
-#: adaptive warm-up before steady-state throughput is measured).
-_ADAPTIVE_KINDS = frozenset({"idlesense", "wtop-csma", "tora-csma", "n-estimating"})
+SCHEME_SPEC_KINDS = tuple(sorted(SCHEME_KINDS))
 
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Declarative, picklable reference to a MAC scheme factory.
+    """Declarative, picklable reference to a MAC scheme.
 
-    ``kind`` selects one of the factories in :mod:`repro.mac.schemes` and
-    ``params`` holds its keyword arguments as a sorted tuple of pairs (so the
-    spec is hashable and its serialisation canonical).  Use :meth:`make`
-    rather than the raw constructor.
+    ``kind`` names one of the declarations in
+    :data:`repro.mac.schemes.SCHEME_KINDS` and ``params`` holds its keyword
+    arguments as a sorted tuple of pairs (so the spec is hashable and its
+    serialisation canonical).  Use :meth:`make` rather than the raw
+    constructor.
     """
 
     kind: str
@@ -135,10 +104,7 @@ class SchemeSpec:
 
     @classmethod
     def make(cls, kind: str, **params: object) -> "SchemeSpec":
-        if kind not in _SCHEME_BUILDERS:
-            raise ValueError(
-                f"unknown scheme kind '{kind}'; expected one of {SCHEME_SPEC_KINDS}"
-            )
+        scheme_kind(kind)
         normalized = tuple(
             sorted((name, _canonical(value)) for name, value in params.items())
         )
@@ -147,12 +113,11 @@ class SchemeSpec:
     @property
     def adaptive(self) -> bool:
         """Whether the scheme adapts (determines the warm-up budget)."""
-        return self.kind in _ADAPTIVE_KINDS
+        return SCHEME_KINDS[self.kind].adaptive
 
     def build(self, phy: Optional[PhyParameters] = None) -> Scheme:
         """Instantiate a fresh :class:`~repro.mac.schemes.Scheme`."""
-        builder = _SCHEME_BUILDERS[self.kind]
-        return builder(phy, **dict(self.params))
+        return SCHEME_KINDS[self.kind].scheme(phy, **dict(self.params))
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -293,11 +258,11 @@ class RunTask:
     saturated :class:`ArrivalProcess` with the default (infinite) retry
     policy is canonicalised to ``None`` and the field is omitted from
     :meth:`to_json` in that case, so saturated task hashes — and therefore
-    every pre-traffic :class:`ResultCache` entry — are unchanged.
+    every pre-traffic :class:`ResultCache` entry — are unchanged.  A retry
+    limit belongs to the workload, saturated or not
+    (``ArrivalProcess.saturated(retry_limit=7)``).
 
-    ``retry_limit`` is sugar for bounding MAC retries without spelling out a
-    workload: it folds into ``traffic`` (defaulting to saturated) at
-    construction and is always ``None`` afterwards.
+    A ``weights`` scheme parameter must name every station of the cell.
     """
 
     scheme: SchemeSpec
@@ -311,24 +276,9 @@ class RunTask:
     activity: Optional[Tuple[Tuple[float, int], ...]] = None
     phy: Optional[PhyParameters] = None
     traffic: Optional[ArrivalProcess] = None
-    retry_limit: Optional[int] = None
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.retry_limit is not None:
-            base = (self.traffic if self.traffic is not None
-                    else ArrivalProcess.saturated())
-            if (base.retry_limit is not None
-                    and base.retry_limit != int(self.retry_limit)):
-                raise ValueError(
-                    "retry_limit conflicts with traffic.retry_limit "
-                    f"({self.retry_limit} vs {base.retry_limit})"
-                )
-            object.__setattr__(
-                self, "traffic",
-                dataclasses.replace(base, retry_limit=int(self.retry_limit)),
-            )
-            object.__setattr__(self, "retry_limit", None)
         if (self.traffic is not None and self.traffic.is_saturated
                 and self.traffic.retry_limit is None):
             object.__setattr__(self, "traffic", None)
@@ -340,6 +290,12 @@ class RunTask:
             raise ValueError("duration must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
+        weights = dict(self.scheme.params).get("weights")
+        if weights is not None and len(weights) < self.topology.num_stations:
+            raise ValueError(
+                f"the scheme has {len(weights)} weights for a cell of "
+                f"{self.topology.num_stations} stations"
+            )
         if self.simulator == "slotted" and self.topology.kind != "connected":
             raise ValueError(
                 "the slotted simulator only models connected topologies"
@@ -428,94 +384,3 @@ def derive_seed(*components: object) -> int:
     )
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-# ----------------------------------------------------------------------
-# Sweep specifications
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepSpec:
-    """A declarative (scheme x station count x repetition) campaign grid.
-
-    ``schemes`` maps display labels to :class:`SchemeSpec` entries.  Each
-    grid cell receives a deterministic seed from :func:`derive_seed` applied
-    to ``(name, base_seed, scheme label, node count, repetition)``, so tasks
-    are reproducible regardless of iteration or execution order.  Hidden-node
-    cells additionally derive a per-cell topology seed (matching the paper's
-    practice of drawing a fresh placement per repetition).
-    """
-
-    name: str
-    schemes: Tuple[Tuple[str, SchemeSpec], ...]
-    node_counts: Tuple[int, ...]
-    duration: float
-    warmup: float = 0.0
-    adaptive_warmup: Optional[float] = None
-    repetitions: int = 1
-    base_seed: int = 0
-    topology: str = "connected"
-    radius: Optional[float] = None
-    report_interval: Optional[float] = None
-    frame_error_rate: float = 0.0
-    phy: Optional[PhyParameters] = None
-    traffic: Optional[ArrivalProcess] = None
-
-    @classmethod
-    def make(cls, name: str, schemes: Mapping[str, SchemeSpec],
-             node_counts: Sequence[int], duration: float, **kwargs) -> "SweepSpec":
-        return cls(
-            name=name,
-            schemes=tuple(schemes.items()),
-            node_counts=tuple(int(n) for n in node_counts),
-            duration=float(duration),
-            **kwargs,
-        )
-
-    def __post_init__(self) -> None:
-        if not self.schemes:
-            raise ValueError("a sweep needs at least one scheme")
-        if not self.node_counts:
-            raise ValueError("a sweep needs at least one node count")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.topology not in ("connected", "hidden-disc"):
-            raise ValueError(f"unknown topology kind '{self.topology}'")
-        if self.topology == "hidden-disc" and not self.radius:
-            raise ValueError("hidden-disc sweeps need a radius")
-
-    def _warmup_for(self, spec: SchemeSpec) -> float:
-        if spec.adaptive and self.adaptive_warmup is not None:
-            return self.adaptive_warmup
-        return self.warmup
-
-    def expand(self) -> Tuple[RunTask, ...]:
-        """Expand the grid into concrete :class:`RunTask` descriptors."""
-        tasks = []
-        for scheme_label, spec in self.schemes:
-            for num_stations in self.node_counts:
-                for rep in range(self.repetitions):
-                    seed = derive_seed(
-                        self.name, self.base_seed, scheme_label, num_stations, rep
-                    )
-                    if self.topology == "connected":
-                        topology = TopologySpec.connected(num_stations)
-                    else:
-                        topo_seed = derive_seed(
-                            self.name, self.base_seed, "topology", num_stations, rep
-                        )
-                        topology = TopologySpec.hidden_disc(
-                            num_stations, self.radius, topo_seed
-                        )
-                    tasks.append(RunTask(
-                        scheme=spec,
-                        topology=topology,
-                        seed=seed,
-                        duration=self.duration,
-                        warmup=self._warmup_for(spec),
-                        report_interval=self.report_interval,
-                        frame_error_rate=self.frame_error_rate,
-                        phy=self.phy,
-                        traffic=self.traffic,
-                        label=f"{self.name}/{scheme_label}/N={num_stations}/rep={rep}",
-                    ))
-        return tuple(tasks)

@@ -1,4 +1,4 @@
-"""MAC layer: backoff policies, IdleSense baseline and named schemes."""
+"""MAC layer: backoff policies, IdleSense baseline and the scheme kinds."""
 
 from .backoff import (
     BackoffPolicy,
@@ -17,13 +17,14 @@ from .batched import (
 from .idlesense import DEFAULT_TARGET_IDLE_SLOTS, IdleSenseBackoff
 from .ntuning import NEstimatingPersistentBackoff
 from .schemes import (
-    SCHEME_NAMES,
+    SCHEME_KINDS,
     Scheme,
+    SchemeKind,
     fixed_p_persistent_scheme,
     fixed_randomreset_scheme,
     idlesense_scheme,
     n_estimating_scheme,
-    scheme_by_name,
+    scheme_kind,
     standard_80211_scheme,
     tora_csma_scheme,
     wtop_csma_scheme,
@@ -43,13 +44,14 @@ __all__ = [
     "DEFAULT_TARGET_IDLE_SLOTS",
     "IdleSenseBackoff",
     "NEstimatingPersistentBackoff",
-    "SCHEME_NAMES",
+    "SCHEME_KINDS",
     "Scheme",
+    "SchemeKind",
     "fixed_p_persistent_scheme",
     "fixed_randomreset_scheme",
     "idlesense_scheme",
     "n_estimating_scheme",
-    "scheme_by_name",
+    "scheme_kind",
     "standard_80211_scheme",
     "tora_csma_scheme",
     "wtop_csma_scheme",

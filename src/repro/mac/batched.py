@@ -36,6 +36,13 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..phy.constants import PhyParameters
+from .idlesense import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_WINDOW,
+    DEFAULT_MAXTRANS,
+    DEFAULT_TARGET_IDLE_SLOTS,
+)
 
 __all__ = [
     "BatchedPolicyBank",
@@ -185,26 +192,20 @@ class BatchedDcfBank(_ExponentialWindowBank):
     success_draw = initial_draw
 
 
-class BatchedIdleSenseBank(BatchedPolicyBank):
-    """IdleSense AIMD contention window, batched.
-
-    In a fully connected cell every station sees the identical idle/busy slot
-    sequence, so all stations of a cell share one window trajectory (the
-    scalar simulator reaches the same state through N identical per-station
-    objects); the bank therefore keeps one window per cell.
-    """
+class _IdleSenseAimdBank(BatchedPolicyBank):
+    """The AIMD settings and window update both IdleSense banks share, with
+    the defaults of :class:`~repro.mac.idlesense.IdleSenseBackoff`."""
 
     observes_channel = True
 
     def __init__(
         self,
         phy: PhyParameters,
-        num_cells: int,
-        target_idle_slots: float = 3.1,
-        epsilon: float = 6.0,
-        alpha: float = 1.0 / 1.0666,
-        maxtrans: int = 5,
-        max_window: int = 4096,
+        target_idle_slots: float = DEFAULT_TARGET_IDLE_SLOTS,
+        epsilon: float = DEFAULT_EPSILON,
+        alpha: float = DEFAULT_ALPHA,
+        maxtrans: int = DEFAULT_MAXTRANS,
+        max_window: int = DEFAULT_MAX_WINDOW,
     ) -> None:
         if target_idle_slots <= 0:
             raise ValueError("target_idle_slots must be positive")
@@ -214,6 +215,25 @@ class BatchedIdleSenseBank(BatchedPolicyBank):
         self._alpha = float(alpha)
         self._maxtrans = int(maxtrans)
         self._max_window = float(max_window)
+
+    def _aimd(self, window: np.ndarray, avg_idle: np.ndarray) -> np.ndarray:
+        """The windows after one AIMD update at these idle averages."""
+        window = np.where(avg_idle < self._target,
+                          window + self._epsilon, window * self._alpha)
+        return np.minimum(np.maximum(window, self._cw_min), self._max_window)
+
+
+class BatchedIdleSenseBank(_IdleSenseAimdBank):
+    """IdleSense AIMD contention window, batched.
+
+    In a fully connected cell every station sees the identical idle/busy slot
+    sequence, so all stations of a cell share one window trajectory (the
+    scalar simulator reaches the same state through N identical per-station
+    objects); the bank therefore keeps one window per cell.
+    """
+
+    def __init__(self, phy: PhyParameters, num_cells: int, **aimd) -> None:
+        super().__init__(phy, **aimd)
         self._window = np.full(num_cells, self._cw_min, dtype=np.float64)
         self._sum_idle = np.zeros(num_cells, dtype=np.float64)
         self._ntrans = np.zeros(num_cells, dtype=np.int64)
@@ -228,13 +248,8 @@ class BatchedIdleSenseBank(BatchedPolicyBank):
         self._ntrans += cell_mask
         due = ((self._ntrans >= self._maxtrans) & cell_mask).nonzero()[0]
         if due.size:
-            avg_idle = self._sum_idle[due] / self._ntrans[due]
-            window = self._window[due]
-            window = np.where(avg_idle < self._target,
-                              window + self._epsilon, window * self._alpha)
-            window = np.minimum(np.maximum(window, self._cw_min),
-                                self._max_window)
-            self._window[due] = window
+            self._window[due] = self._aimd(
+                self._window[due], self._sum_idle[due] / self._ntrans[due])
             self._sum_idle[due] = 0.0
             self._ntrans[due] = 0
 
@@ -260,7 +275,7 @@ class BatchedIdleSenseBank(BatchedPolicyBank):
         }
 
 
-class BatchedStationIdleSenseBank(BatchedPolicyBank):
+class BatchedStationIdleSenseBank(_IdleSenseAimdBank):
     """IdleSense AIMD contention windows, batched with per-station state.
 
     The per-cell :class:`BatchedIdleSenseBank` exploits that in a fully
@@ -278,28 +293,11 @@ class BatchedStationIdleSenseBank(BatchedPolicyBank):
     batch widths.
     """
 
-    observes_channel = True
     per_station_observations = True
 
-    def __init__(
-        self,
-        phy: PhyParameters,
-        num_cells: int,
-        max_stations: int,
-        target_idle_slots: float = 3.1,
-        epsilon: float = 6.0,
-        alpha: float = 1.0 / 1.0666,
-        maxtrans: int = 5,
-        max_window: int = 4096,
-    ) -> None:
-        if target_idle_slots <= 0:
-            raise ValueError("target_idle_slots must be positive")
-        self._cw_min = float(phy.cw_min)
-        self._target = float(target_idle_slots)
-        self._epsilon = float(epsilon)
-        self._alpha = float(alpha)
-        self._maxtrans = int(maxtrans)
-        self._max_window = float(max_window)
+    def __init__(self, phy: PhyParameters, num_cells: int, max_stations: int,
+                 **aimd) -> None:
+        super().__init__(phy, **aimd)
         self._stride = int(max_stations)
         shape = (num_cells, max_stations)
         self._window = np.full(shape, self._cw_min, dtype=np.float64)
@@ -332,12 +330,8 @@ class BatchedStationIdleSenseBank(BatchedPolicyBank):
         due = ntrans >= self._maxtrans
         if np.count_nonzero(due):
             df = flat[due]
-            avg_idle = self._sum_idle_f[df] / ntrans[due]
-            window = self._window_f[df]
-            window = np.where(avg_idle < self._target,
-                              window + self._epsilon, window * self._alpha)
-            self._window_f[df] = np.minimum(
-                np.maximum(window, self._cw_min), self._max_window)
+            self._window_f[df] = self._aimd(
+                self._window_f[df], self._sum_idle_f[df] / ntrans[due])
             self._sum_idle_f[df] = 0.0
             self._ntrans_f[df] = 0
 

@@ -32,10 +32,25 @@ import numpy as np
 from ..phy.constants import PhyParameters
 from .backoff import BackoffPolicy
 
-__all__ = ["IdleSenseBackoff", "DEFAULT_TARGET_IDLE_SLOTS"]
+__all__ = [
+    "IdleSenseBackoff",
+    "DEFAULT_TARGET_IDLE_SLOTS",
+    "DEFAULT_EPSILON",
+    "DEFAULT_ALPHA",
+    "DEFAULT_MAXTRANS",
+    "DEFAULT_MAX_WINDOW",
+]
 
 #: Target average idle slots per transmission used by the paper (Section VI).
 DEFAULT_TARGET_IDLE_SLOTS = 3.1
+
+#: The published AIMD constants, shared with the batched banks of
+#: :mod:`repro.mac.batched`: additive increase, multiplicative decrease
+#: factor, observed transmissions per update, and the window's upper clamp.
+DEFAULT_EPSILON = 6.0
+DEFAULT_ALPHA = 1.0 / 1.0666
+DEFAULT_MAXTRANS = 5
+DEFAULT_MAX_WINDOW = 4096
 
 
 class IdleSenseBackoff(BackoffPolicy):
@@ -50,12 +65,12 @@ class IdleSenseBackoff(BackoffPolicy):
         The AIMD set point ``n_target`` (paper: 3.1).
     epsilon:
         Additive increase applied to the window when the channel looks too
-        busy (published value 6.0).
+        busy.
     alpha:
         Multiplicative decrease factor applied when the channel looks too
-        idle (published value 1/1.0666).
+        idle.
     maxtrans:
-        Number of observed transmissions per AIMD update (published value 5).
+        Number of observed transmissions per AIMD update.
     max_window:
         Upper clamp for the adapted window.
     """
@@ -68,10 +83,10 @@ class IdleSenseBackoff(BackoffPolicy):
         self,
         phy: Optional[PhyParameters] = None,
         target_idle_slots: float = DEFAULT_TARGET_IDLE_SLOTS,
-        epsilon: float = 6.0,
-        alpha: float = 1.0 / 1.0666,
-        maxtrans: int = 5,
-        max_window: int = 4096,
+        epsilon: float = DEFAULT_EPSILON,
+        alpha: float = DEFAULT_ALPHA,
+        maxtrans: int = DEFAULT_MAXTRANS,
+        max_window: int = DEFAULT_MAX_WINDOW,
     ) -> None:
         if target_idle_slots <= 0:
             raise ValueError("target_idle_slots must be positive")

@@ -45,6 +45,16 @@ retry-limit discard, probe sampling and result assembly.  This module keeps
 the renewal contention logic and what depends on its slot clock: idle
 slots, the report countdown and activity changes.
 
+Schemes
+-------
+
+Both kernels take a scheme as a kind and its parameters, the vocabulary
+of :class:`~repro.experiments.campaign.SchemeSpec`.  The kind's one
+declaration in :data:`repro.mac.schemes.SCHEME_KINDS` builds the policy
+and controller banks (:func:`make_batched_system`) and says which
+parameter sets the banks model (:func:`batchable_scheme`); there is no
+second list of kinds, names or defaults here.
+
 Cost per iteration
 ------------------
 
@@ -90,20 +100,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.batched import (
-    BatchedControllerBank,
-    BatchedStaticBank,
-    BatchedToraBank,
-    BatchedWTopBank,
-)
-from ..mac.batched import (
-    BatchedDcfBank,
-    BatchedIdleSenseBank,
-    BatchedPPersistentBank,
-    BatchedPolicyBank,
-    BatchedRandomResetBank,
-    BatchedStationIdleSenseBank,
-)
+from ..core.batched import BatchedControllerBank, BatchedStaticBank
+from ..mac.batched import BatchedPolicyBank
+from ..mac.schemes import SCHEME_KINDS, scheme_kind
 from ..phy.constants import PhyParameters
 from ..telemetry import current as _telemetry
 from ..traffic import ArrivalProcess
@@ -559,37 +558,15 @@ class BatchedSlottedSimulator(CellBatch):
         return ledger.results(idle_slots, tel)
 
 
-# ----------------------------------------------------------------------
-# Scheme registry: which campaign scheme kinds have a batched kernel
-# ----------------------------------------------------------------------
-#: Supported scheme kinds mapped to the spec parameters the batched kernels
-#: honour; tasks using other kinds or parameters fall back to the scalar
-#: simulators.
-_BATCHABLE_PARAMS = {
-    "standard-802.11": frozenset(),
-    "idlesense": frozenset({"target_idle_slots"}),
-    "wtop-csma": frozenset({
-        "update_period", "initial_control", "initial_p", "initial_station_p",
-        "weights",
-    }),
-    "tora-csma": frozenset({
-        "update_period", "initial_p0", "initial_stage",
-        "low_threshold", "high_threshold",
-    }),
-    "fixed-p": frozenset({"p", "weights"}),
-    "fixed-randomreset": frozenset({"stage", "p0"}),
-}
-
 #: Scheme kinds with a batched kernel.
-BATCHABLE_SCHEME_KINDS = tuple(sorted(_BATCHABLE_PARAMS))
+BATCHABLE_SCHEME_KINDS = tuple(sorted(
+    kind for kind, declared in SCHEME_KINDS.items() if declared.banks))
 
 
 def batchable_scheme(kind: str, params: Dict[str, object]) -> bool:
     """Whether ``kind`` with these spec parameters has a batched kernel."""
-    supported = _BATCHABLE_PARAMS.get(kind)
-    if supported is None:
-        return False
-    return set(params) <= set(supported)
+    declared = SCHEME_KINDS.get(kind)
+    return declared is not None and declared.batchable(params)
 
 
 def make_batched_system(
@@ -602,76 +579,16 @@ def make_batched_system(
 ) -> Tuple[BatchedPolicyBank, BatchedControllerBank, str]:
     """Build (policy bank, controller bank, display name) for a scheme kind.
 
-    ``kind`` and ``params`` use the same vocabulary as
-    :class:`repro.experiments.campaign.SchemeSpec`; the display names match
-    the scalar factories in :mod:`repro.mac.schemes` so batched results carry
-    identical metadata.  ``station_observations`` selects per-station channel
-    observation state for observing schemes (required by the conflict-graph
-    simulator, where stations of one cell see different channels); the
-    per-cell variant is only valid for fully connected cells.
+    ``kind`` and ``params`` use the
+    :class:`~repro.experiments.campaign.SchemeSpec` vocabulary.  The kind's
+    declaration in :data:`repro.mac.schemes.SCHEME_KINDS` builds the banks,
+    so their names and defaults are the scalar schemes' own.  ``station_observations`` selects
+    per-station channel observation state for observing schemes (required by
+    the conflict-graph simulator, where stations of one cell see different
+    channels); the per-cell variant is only valid for fully connected cells.
     """
-    if not batchable_scheme(kind, params):
-        raise ValueError(
-            f"scheme kind '{kind}' with params {sorted(params)} has no "
-            f"batched kernel (supported kinds: {BATCHABLE_SCHEME_KINDS})"
-        )
-    if kind == "standard-802.11":
-        return (BatchedDcfBank(phy, num_cells, max_stations),
-                BatchedStaticBank(), "Standard 802.11")
-    if kind == "idlesense":
-        target = float(params.get("target_idle_slots", 3.1))
-        if station_observations:
-            bank: BatchedPolicyBank = BatchedStationIdleSenseBank(
-                phy, num_cells, max_stations, target_idle_slots=target,
-            )
-        else:
-            bank = BatchedIdleSenseBank(phy, num_cells,
-                                        target_idle_slots=target)
-        return bank, BatchedStaticBank(), "IdleSense"
-    if kind == "wtop-csma":
-        controller = BatchedWTopBank(
-            num_cells, phy,
-            update_period=float(params.get("update_period", 0.25)),
-            initial_control=float(params.get("initial_control", 0.5)),
-            initial_p=params.get("initial_p"),
-        )
-        bank = BatchedPPersistentBank(
-            num_cells, max_stations,
-            initial_p=float(params.get("initial_station_p", 0.1)),
-            weights=params.get("weights"),
-            control=controller,
-        )
-        return bank, controller, "wTOP-CSMA"
-    if kind == "tora-csma":
-        initial_stage = int(params.get("initial_stage", 0))
-        controller = BatchedToraBank(
-            num_cells, phy,
-            update_period=float(params.get("update_period", 0.25)),
-            initial_p0=float(params.get("initial_p0", 0.5)),
-            initial_stage=initial_stage,
-            low_threshold=float(params.get("low_threshold", 0.05)),
-            high_threshold=float(params.get("high_threshold", 0.95)),
-        )
-        # Stations start with reset probability 1 at the initial stage and
-        # adopt the advertised (p0, j) afterwards, as in tora_csma_scheme.
-        bank = BatchedRandomResetBank(
-            phy, num_cells, max_stations,
-            initial_stage=initial_stage, initial_p0=1.0, control=controller,
-        )
-        return bank, controller, "TORA-CSMA"
-    if kind == "fixed-p":
-        p = float(params["p"])
-        bank = BatchedPPersistentBank(
-            num_cells, max_stations, initial_p=p, weights=params.get("weights"),
-        )
-        return bank, BatchedStaticBank(), f"p-persistent(p={p:g})"
-    # fixed-randomreset
-    stage = int(params["stage"])
-    p0 = float(params["p0"])
-    bank = BatchedRandomResetBank(
-        phy, num_cells, max_stations, initial_stage=stage, initial_p0=p0,
-    )
-    return bank, BatchedStaticBank(), f"RandomReset(j={stage}, p0={p0:g})"
+    return scheme_kind(kind).batched(params, num_cells, max_stations, phy,
+                                     station_observations)
 
 
 def run_batched(

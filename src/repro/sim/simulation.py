@@ -71,7 +71,6 @@ class AccessPointProcess:
         phy: PhyParameters,
         controller: AccessPointController,
         metrics: MetricsCollector,
-        broadcast_control: bool = True,
         frame_error_rate: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -83,7 +82,6 @@ class AccessPointProcess:
         self._phy = phy
         self._controller = controller
         self._metrics = metrics
-        self._broadcast_control = broadcast_control
         self._frame_error_rate = float(frame_error_rate)
         self._rng = rng or np.random.default_rng(0)
         self._stations: Dict[int, StationProcess] = {}
@@ -159,7 +157,7 @@ class AccessPointProcess:
         if destination is not None:
             if destination.deliver_success(ack.control):
                 self._acked_in_flight -= 1
-        if self._broadcast_control and ack.control:
+        if ack.control:
             for station_id, station in self._stations.items():
                 if station_id != ack.destination:
                     station.overhear_ack(ack.control)
@@ -180,9 +178,6 @@ class WlanSimulation:
         Master seed; every station receives an independent child stream.
     activity:
         Optional dynamic-activity schedule (Figures 8-11).
-    broadcast_control:
-        Whether stations apply control values from ACKs addressed to others
-        (wTOP-CSMA requires this; TORA-CSMA only needs its own ACKs).
     report_interval:
         Sampling period (seconds) for the throughput / control time lines.
     frame_error_rate:
@@ -206,7 +201,6 @@ class WlanSimulation:
         phy: Optional[PhyParameters] = None,
         seed: int = 0,
         activity: Optional[ActivitySchedule] = None,
-        broadcast_control: bool = True,
         report_interval: Optional[float] = None,
         frame_error_rate: float = 0.0,
         traffic: Optional[ArrivalProcess] = None,
@@ -239,7 +233,6 @@ class WlanSimulation:
             phy=self._phy,
             controller=self._controller,
             metrics=self._metrics,
-            broadcast_control=broadcast_control,
             frame_error_rate=frame_error_rate,
             rng=np.random.default_rng(master.integers(0, 2 ** 63 - 1)),
         )

@@ -72,10 +72,6 @@ class SlottedSimulator:
     activity:
         Optional :class:`ActivitySchedule` for dynamic scenarios; stations
         beyond the active count do not contend.
-    broadcast_control:
-        When True (default, matches wTOP-CSMA) every station applies the
-        control values of every ACK; when False only the station whose frame
-        was acknowledged applies them (sufficient for TORA-CSMA).
     report_interval:
         When set, the throughput and control-variable time lines are sampled
         every ``report_interval`` seconds (Figures 8-11).
@@ -103,7 +99,6 @@ class SlottedSimulator:
         phy: Optional[PhyParameters] = None,
         seed: int = 0,
         activity: Optional[ActivitySchedule] = None,
-        broadcast_control: bool = True,
         report_interval: Optional[float] = None,
         frame_error_rate: float = 0.0,
         traffic: Optional[ArrivalProcess] = None,
@@ -123,7 +118,6 @@ class SlottedSimulator:
         self._scheme = scheme
         self._phy = phy or PhyParameters()
         self._rng = np.random.default_rng(seed)
-        self._broadcast_control = broadcast_control
         if report_interval is not None and report_interval <= 0:
             raise ValueError("report_interval must be positive")
         self._report_interval = report_interval
@@ -465,10 +459,7 @@ class SlottedSimulator:
                 self._controller.on_packet_received(station, payload, now)
                 control = self._controller.control()
                 if control:
-                    if self._broadcast_control:
-                        self._apply_control_to_all(control)
-                    else:
-                        self._policies[station].apply_control(control)
+                    self._apply_control_to_all(control)
                 counters[station] = self._policies[station].on_success(self._rng)
             else:
                 for station in transmitters:

@@ -6,7 +6,7 @@ The load-bearing guarantees:
   loading it from the on-disk cache yields bit-identical results;
 * task hashes are stable, label-independent and sensitive to everything
   that affects the simulation;
-* sweep expansion derives per-cell seeds deterministically.
+* per-cell seeds derive deterministically from grid coordinates.
 """
 
 import json
@@ -20,12 +20,11 @@ from repro.experiments.campaign import (
     ResultCache,
     RunTask,
     SchemeSpec,
-    SweepSpec,
     TopologySpec,
-    batch_eligible,
     derive_seed,
     execute_batch,
     execute_task,
+    fallback_reason,
     plan_batches,
     result_from_dict,
     result_to_dict,
@@ -139,6 +138,20 @@ class TestRunTask:
         payload = json.dumps(_quick_task().to_json(), sort_keys=True)
         assert json.loads(payload)["seed"] == 1
 
+    def test_short_weight_vector_rejected(self):
+        """Every station needs a weight: a short vector is refused when the
+        task is built, not left to fail its cell at run time."""
+        def task(weights):
+            return RunTask(
+                scheme=SchemeSpec.make("fixed-p", p=0.05, weights=weights),
+                topology=TopologySpec.connected(4), seed=1, duration=0.2,
+            )
+
+        with pytest.raises(ValueError, match="2 weights for a cell of 4"):
+            task((1.0, 2.0))
+        [result] = CampaignExecutor(jobs=1).run([task((1.0, 2.0, 1.0, 1.0))])
+        assert result is not None
+
 
 class TestExecuteTask:
     def test_result_annotated_with_task_identity(self):
@@ -185,71 +198,19 @@ class TestDeterministicSeeding:
         assert 0 <= seed < 2 ** 63
 
 
-class TestSweepSpec:
-    def _sweep(self, **overrides):
-        settings = dict(
-            warmup=0.05, adaptive_warmup=0.4, repetitions=2, base_seed=9,
-        )
-        settings.update(overrides)
-        return SweepSpec.make(
-            "unit-sweep",
-            {
-                "dcf": SchemeSpec.make("standard-802.11"),
-                "idlesense": SchemeSpec.make("idlesense"),
-            },
-            node_counts=(3, 5),
-            duration=0.2,
-            **settings,
-        )
-
-    def test_expansion_is_deterministic(self):
-        assert self._sweep().expand() == self._sweep().expand()
-
-    def test_grid_size_and_labels(self):
-        tasks = self._sweep().expand()
-        assert len(tasks) == 2 * 2 * 2
-        assert tasks[0].label == "unit-sweep/dcf/N=3/rep=0"
-        assert len({t.task_key() for t in tasks}) == len(tasks)
-
-    def test_adaptive_schemes_get_adaptive_warmup(self):
-        tasks = {t.label: t for t in self._sweep().expand()}
-        assert tasks["unit-sweep/dcf/N=3/rep=0"].warmup == 0.05
-        assert tasks["unit-sweep/idlesense/N=3/rep=0"].warmup == 0.4
-
-    def test_hidden_sweep_derives_topology_seeds(self):
-        tasks = self._sweep(topology="hidden-disc", radius=16.0).expand()
-        assert all(t.topology.kind == "hidden-disc" for t in tasks)
-        # Same cell -> same placement for every scheme (paired comparison),
-        # different repetition -> different placement.
-        by_label = {t.label: t for t in tasks}
-        assert (by_label["unit-sweep/dcf/N=3/rep=0"].topology.topology_seed
-                == by_label["unit-sweep/idlesense/N=3/rep=0"].topology.topology_seed)
-        assert (by_label["unit-sweep/dcf/N=3/rep=0"].topology.topology_seed
-                != by_label["unit-sweep/dcf/N=3/rep=1"].topology.topology_seed)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec.make("s", {}, (3,), 0.2)
-        with pytest.raises(ValueError):
-            self._sweep(repetitions=0)
-        with pytest.raises(ValueError):
-            self._sweep(topology="hidden-disc")  # no radius
-
-
 class TestCampaignExecutorDeterminism:
     def test_parallel_results_bit_identical_to_serial(self):
         """Acceptance criterion: jobs=4 output equals jobs=1 output exactly."""
-        spec = SweepSpec.make(
-            "determinism",
-            {"dcf": SchemeSpec.make("standard-802.11"),
-             "fixed": SchemeSpec.make("fixed-p", p=0.05)},
-            node_counts=(3, 5),
-            duration=0.2,
-            warmup=0.05,
-            repetitions=2,
-            base_seed=11,
-        )
-        tasks = spec.expand()
+        schemes = {"dcf": SchemeSpec.make("standard-802.11"),
+                   "fixed": SchemeSpec.make("fixed-p", p=0.05)}
+        tasks = [
+            RunTask(scheme=spec, topology=TopologySpec.connected(n),
+                    seed=derive_seed("determinism", 11, label, n, rep),
+                    duration=0.2, warmup=0.05)
+            for label, spec in schemes.items()
+            for n in (3, 5)
+            for rep in range(2)
+        ]
         serial = CampaignExecutor(jobs=1).run(tasks)
         parallel = CampaignExecutor(jobs=4).run(tasks)
         assert len(serial) == len(tasks)
@@ -296,7 +257,7 @@ class TestBackendSelection:
 
     def test_ineligible_scheme_falls_back_to_slotted(self):
         task = _quick_task(scheme=SchemeSpec.make("n-estimating"))
-        assert not batch_eligible(task)
+        assert fallback_reason(task)
         [result] = CampaignExecutor(jobs=1).run([task])
         assert result.extra["simulator"] == "slotted"
 
@@ -304,7 +265,7 @@ class TestBackendSelection:
         task = _quick_task(
             num_stations=6, topology=TopologySpec.hidden_disc(6, 16.0, 1)
         )
-        assert batch_eligible(task)
+        assert fallback_reason(task) is None
         executor = CampaignExecutor(jobs=1)
         [result] = executor.run([task])
         assert result.extra["simulator"] == "batched"
@@ -317,7 +278,7 @@ class TestBackendSelection:
             topology=TopologySpec.hidden_disc(6, 16.0, 1),
             activity=((0.0, 3), (0.1, 6)),
         )
-        assert not batch_eligible(task)
+        assert fallback_reason(task)
         [result] = CampaignExecutor(jobs=1).run([task])
         assert result.extra["simulator"] == "event-driven"
 
@@ -327,7 +288,7 @@ class TestBackendSelection:
             scheme=SchemeSpec.make("n-estimating"),
             topology=TopologySpec.hidden_disc(6, 16.0, 1),
         )
-        assert not batch_eligible(task)
+        assert fallback_reason(task)
         [result] = CampaignExecutor(jobs=1).run([task])
         assert result.extra["simulator"] == "event-driven"
 
@@ -591,18 +552,18 @@ class TestTrafficCampaignIntegration:
     def test_traffic_tasks_are_batch_eligible_on_both_families(self):
         from repro.traffic import ArrivalProcess
 
-        assert batch_eligible(self._traffic_task())
+        assert fallback_reason(self._traffic_task()) is None
         hidden = self._traffic_task(
             topology=TopologySpec.hidden_disc(5, 16.0, 7),
         )
-        assert batch_eligible(hidden)
+        assert fallback_reason(hidden) is None
         # ... but hidden + activity still falls back to the event simulator.
         churn = _quick_task(
             topology=TopologySpec.hidden_disc(5, 16.0, 7),
             traffic=ArrivalProcess.poisson(800.0),
             activity=((0.0, 2), (0.1, 3)),
         )
-        assert not batch_eligible(churn)
+        assert fallback_reason(churn)
 
     def test_traffic_result_round_trips_the_cache_bit_exactly(self, tmp_path):
         task = self._traffic_task()

@@ -32,11 +32,13 @@ class TestParser:
             build_parser().parse_args(["fig12", "--preset", "huge"])
 
     def test_backend_choices(self):
-        for backend in ("auto", "slotted", "event", "batched"):
+        for backend in ("auto", "slotted", "event"):
             args = build_parser().parse_args(["fig3", "--backend", backend])
             assert args.backend == backend
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig3", "--backend", "quantum"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig3", "--backend", "batched"])
 
     def test_campaign_flags(self, tmp_path):
         args = build_parser().parse_args(
@@ -104,8 +106,8 @@ class TestBackendFlag:
             return _stub_runner("fig3")(config, executor=executor)
 
         monkeypatch.setitem(EXPERIMENT_REGISTRY, "fig3", runner)
-        assert main(["fig3", "--backend", "batched"]) == 0
-        assert seen["backend"] == "batched"
+        assert main(["fig3", "--backend", "event"]) == 0
+        assert seen["backend"] == "event"
         assert main(["fig3"]) == 0
         assert seen["backend"] == "auto"
 

@@ -231,12 +231,14 @@ class TestHangTimeout:
         assert not executor.stats.failures
         assert results == reference
 
-    def test_timeout_applies_even_to_a_single_unit(self, tmp_path):
-        """One dispatchable unit must still run in the pool when a timeout
-        is set — the serial fast path cannot reclaim a hung task."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timeout_applies_even_to_a_single_unit(self, tmp_path, jobs):
+        """One dispatchable unit must still run in a worker process when a
+        timeout is set, at ``jobs=1`` too — an in-process call cannot be
+        reclaimed when it hangs."""
         faults = FaultPlan([FaultRule("hang", times=1, hang_s=30.0)],
                            state_dir=tmp_path / "faults")
-        executor = _executor(tmp_path, "c", jobs=2, task_timeout_s=1.5,
+        executor = _executor(tmp_path, "c", jobs=jobs, task_timeout_s=1.5,
                              faults=faults)
         [result] = executor.run([_task(seed=1, simulator="slotted")])
         assert result is not None

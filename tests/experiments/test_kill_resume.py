@@ -66,6 +66,23 @@ def _kill_group(process):
     process.wait(timeout=30)
 
 
+def _session_alive(session):
+    """Pids of the live (not zombie) processes of ``session``, from /proc."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = pathlib.Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue
+        # After "pid (comm) ": state, ppid, pgrp, session, ...
+        fields = stat[stat.rindex(")") + 2:].split()
+        if int(fields[3]) == session and fields[0] not in ("Z", "X"):
+            alive.append(int(entry))
+    return alive
+
+
 CAMPAIGN = ["fig3", "--preset", "quick", "--jobs", "2"]
 
 
@@ -98,6 +115,25 @@ class TestKillResume:
         assert resumed.returncode == 0, resumed.stderr
         assert "from journal" in resumed.stdout
         assert (tmp_path / "out" / "fig3.txt").read_bytes() == ref_text
+
+    def test_sigkill_of_the_campaign_ends_its_pool_workers(self, tmp_path):
+        """Workers notice that their campaign died: nothing of the killed
+        campaign's session is alive 10 s after the SIGKILL."""
+        journal = tmp_path / "run.jsonl"
+        process = _popen(
+            CAMPAIGN + ["--output", "out", "--cache-dir", "cache",
+                        "--journal", "run.jsonl"],
+            cwd=tmp_path)
+        try:
+            _wait_for_journal(journal, 2, process)  # meta + one cell
+            os.kill(process.pid, signal.SIGKILL)
+            process.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while _session_alive(process.pid) and time.monotonic() < deadline:
+                time.sleep(0.2)
+            assert _session_alive(process.pid) == []
+        finally:
+            _kill_group(process)
 
     def test_sigint_exits_130_without_traceback(self, tmp_path):
         journal = tmp_path / "run.jsonl"

@@ -56,7 +56,7 @@ class TestTwoClusterSpec:
             topology=TopologySpec.two_cluster(2, 28.0, 0),
             seed=1, duration=0.2, warmup=0.1,
         )
-        executor = CampaignExecutor(jobs=1, backend="batched")
+        executor = CampaignExecutor(jobs=1, backend="auto")
         [result] = executor.run([task])
         assert result is not None
         assert executor.last_run_stats.batched_cells == 1
@@ -70,7 +70,7 @@ class TestStabilityAtlas:
         # livelock seeds only: the smallest grid containing the basin.
         return run_fig_stability_atlas(
             QUICK.evolve(seeds=(1, 5)),
-            executor=CampaignExecutor(jobs=1, backend="batched"),
+            executor=CampaignExecutor(jobs=1, backend="auto"),
             separations=(28.0,),
             loads=(None,),
             schemes={"IdleSense": SchemeSpec.make("idlesense")},
@@ -94,7 +94,7 @@ class TestStabilityAtlas:
     def test_coordinated_separation_does_not_livelock(self):
         result = run_fig_stability_atlas(
             QUICK.evolve(seeds=(1, 5)),
-            executor=CampaignExecutor(jobs=1, backend="batched"),
+            executor=CampaignExecutor(jobs=1, backend="auto"),
             separations=(20.0,),
             loads=(None,),
             schemes={"IdleSense": SchemeSpec.make("idlesense")},
@@ -107,7 +107,7 @@ class TestStabilityAtlas:
     def test_config_seeds_are_extended_with_livelock_seeds(self):
         result = run_fig_stability_atlas(
             QUICK.evolve(seeds=(2,)),
-            executor=CampaignExecutor(jobs=1, backend="batched"),
+            executor=CampaignExecutor(jobs=1, backend="auto"),
             separations=(28.0,),
             loads=(None,),
             schemes={"IdleSense": SchemeSpec.make("idlesense")},

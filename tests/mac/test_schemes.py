@@ -1,4 +1,4 @@
-"""Tests for the named MAC scheme bundles."""
+"""Tests for the scheme kinds and the named scalar scheme factories."""
 
 import pytest
 
@@ -10,18 +10,22 @@ from repro.mac.backoff import (
     RandomResetBackoff,
     StandardExponentialBackoff,
 )
+from repro.mac.batched import BatchedIdleSenseBank, BatchedStationIdleSenseBank
 from repro.mac.idlesense import IdleSenseBackoff
 from repro.mac.schemes import (
-    SCHEME_NAMES,
+    REQUIRED,
+    SCHEME_KINDS,
     fixed_p_persistent_scheme,
     fixed_randomreset_scheme,
     idlesense_scheme,
-    scheme_by_name,
+    scheme_kind,
     standard_80211_scheme,
     tora_csma_scheme,
     wtop_csma_scheme,
 )
-from repro.phy.constants import PhyParameters
+
+#: Values for the parameters that have no default.
+REQUIRED_VALUES = {"p": 0.05, "stage": 1, "p0": 0.5}
 
 
 class TestSchemeConstruction:
@@ -81,22 +85,64 @@ class TestOpenLoopSchemes:
         assert policy.reset_probability == pytest.approx(0.4)
 
 
-class TestSchemeLookup:
-    @pytest.mark.parametrize("alias,expected", [
-        ("standard-802.11", "Standard 802.11"),
-        ("dcf", "Standard 802.11"),
-        ("idlesense", "IdleSense"),
-        ("wtop", "wTOP-CSMA"),
-        ("WTOP-CSMA", "wTOP-CSMA"),
-        ("tora", "TORA-CSMA"),
-    ])
-    def test_lookup_by_alias(self, alias, expected):
-        assert scheme_by_name(alias).name == expected
+class TestSchemeKinds:
+    def _params(self, declared):
+        return {name: REQUIRED_VALUES[name]
+                for name, default in declared.defaults.items()
+                if default is REQUIRED}
 
-    def test_all_registry_names_resolve(self):
-        for name in SCHEME_NAMES:
-            assert scheme_by_name(name) is not None
+    @pytest.mark.parametrize("kind", sorted(SCHEME_KINDS))
+    def test_every_kind_builds_a_scalar_scheme(self, phy, kind):
+        declared = scheme_kind(kind)
+        scheme = declared.scheme(phy, **self._params(declared))
+        assert scheme.adaptive == declared.adaptive
+        assert len(scheme.make_policies(3)) == 3
+        assert scheme.make_controller() is not None
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            scheme_by_name("aloha")
+    @pytest.mark.parametrize("kind", sorted(
+        kind for kind, declared in SCHEME_KINDS.items() if declared.banks))
+    def test_batched_banks_carry_the_scalar_name(self, phy, kind):
+        declared = scheme_kind(kind)
+        params = self._params(declared)
+        _, _, name = declared.batched(params, 2, 4, phy)
+        assert name == declared.scheme(phy, **params).name
+
+    def test_display_names(self, phy):
+        names = {kind: declared.scheme(phy, **self._params(declared)).name
+                 for kind, declared in SCHEME_KINDS.items()}
+        assert names == {
+            "standard-802.11": "Standard 802.11",
+            "idlesense": "IdleSense",
+            "wtop-csma": "wTOP-CSMA",
+            "tora-csma": "TORA-CSMA",
+            "n-estimating": "N-estimating p-persistent",
+            "fixed-p": "p-persistent(p=0.05)",
+            "fixed-randomreset": "RandomReset(j=1, p0=0.5)",
+        }
+
+    def test_idlesense_banks_observe_per_cell_or_per_station(self, phy):
+        declared = scheme_kind("idlesense")
+        cell_bank, _, _ = declared.batched({}, 2, 4, phy)
+        station_bank, _, _ = declared.batched({}, 2, 4, phy, per_station=True)
+        assert isinstance(cell_bank, BatchedIdleSenseBank)
+        assert isinstance(station_bank, BatchedStationIdleSenseBank)
+
+    def test_controller_keywords_reach_the_scalar_controller_only(self, phy):
+        declared = scheme_kind("wtop-csma")
+        scheme = declared.scheme(phy, initial_k=3)
+        assert isinstance(scheme.make_controller(), WTopCsmaController)
+        assert declared.batchable({"update_period": 0.05})
+        assert not declared.batchable({"initial_k": 3})
+        with pytest.raises(ValueError, match="no batched kernel"):
+            declared.batched({"initial_k": 3}, 2, 4, phy)
+
+    def test_unknown_and_missing_parameters_rejected(self, phy):
+        with pytest.raises(TypeError, match="takes no parameter"):
+            idlesense_scheme(phy, initial_k=3)
+        with pytest.raises(TypeError, match="needs parameter"):
+            scheme_kind("fixed-randomreset").scheme(phy, stage=1)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme kind"):
+            scheme_kind("aloha")
+        assert not scheme_kind("n-estimating").batchable({})

@@ -24,7 +24,6 @@ from repro.sim.batched import (
     BATCHABLE_SCHEME_KINDS,
     CellStreams,
     batchable_scheme,
-    make_batched_system,
     run_batched,
 )
 from repro.sim.slotted import run_slotted
@@ -219,20 +218,6 @@ class TestMechanics:
         assert batchable_scheme("wtop-csma", {"update_period": 0.05})
         assert not batchable_scheme("n-estimating", {})
         assert not batchable_scheme("wtop-csma", {"mapping": object()})
-
-    def test_make_batched_system_names_match_scalar_schemes(self, phy):
-        for kind, params, expected in [
-            ("standard-802.11", {}, "Standard 802.11"),
-            ("idlesense", {}, "IdleSense"),
-            ("wtop-csma", {}, "wTOP-CSMA"),
-            ("tora-csma", {}, "TORA-CSMA"),
-            ("fixed-p", {"p": 0.05}, "p-persistent(p=0.05)"),
-            ("fixed-randomreset", {"stage": 1, "p0": 0.5},
-             "RandomReset(j=1, p0=0.5)"),
-        ]:
-            _, _, name = make_batched_system(kind, params, 2, 4, phy)
-            assert name == expected
-            assert _scalar_scheme(kind, params, phy).name == name
 
 
 class TestDynamicActivity:

@@ -155,34 +155,28 @@ class TestDefaultPathCompatibility:
                 topology=CONNECTED, seed=1, duration=1.0, **kwargs,
             ).task_key()
 
-        base = key()
-        assert key(retry_limit=7) != base
-        assert key(retry_limit=7) == key(
-            traffic=ArrivalProcess.saturated(retry_limit=7)
-        )
-        assert key(retry_limit=7) != key(retry_limit=6)
+        limited = key(traffic=ArrivalProcess.saturated(retry_limit=7))
+        assert limited != key()
+        assert limited != key(traffic=ArrivalProcess.saturated(retry_limit=6))
         poisson = ArrivalProcess.poisson(100.0)
-        assert key(traffic=poisson, retry_limit=7) != key(traffic=poisson)
+        assert (key(traffic=ArrivalProcess.poisson(100.0, retry_limit=7))
+                != key(traffic=poisson))
+        # The keys cached entries were stored under: a retry-limited task
+        # hashes as it always has.
+        assert limited == ("8cd243f909536fea86edc472d8d836ee"
+                           "a1bf13bc75e6bedcb06bd44604604d6c")
 
-    def test_run_task_folds_retry_limit_into_traffic(self):
+    def test_saturated_retry_limit_is_kept_in_the_task(self):
         task = RunTask(
             scheme=SchemeSpec.make("standard-802.11"),
-            topology=CONNECTED, seed=1, duration=1.0, retry_limit=7,
+            topology=CONNECTED, seed=1, duration=1.0,
+            traffic=ArrivalProcess.saturated(retry_limit=7),
         )
-        assert task.retry_limit is None
         assert task.traffic is not None
         assert task.traffic.is_saturated
         assert task.traffic.retry_limit == 7
         assert task.to_json()["traffic"] == {"kind": "saturated",
                                              "retry_limit": 7}
-
-    def test_conflicting_retry_limits_rejected(self):
-        with pytest.raises(ValueError, match="retry_limit"):
-            RunTask(
-                scheme=SchemeSpec.make("standard-802.11"),
-                topology=CONNECTED, seed=1, duration=1.0, retry_limit=7,
-                traffic=ArrivalProcess.poisson(100.0, retry_limit=4),
-            )
 
     def test_invalid_retry_limit_rejected(self):
         with pytest.raises(ValueError, match="retry_limit"):

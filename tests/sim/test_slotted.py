@@ -202,7 +202,7 @@ class TestDynamicActivity:
         scheme = wtop_csma_scheme(phy, update_period=50.0, initial_station_p=0.1)
         schedule = step_activity([(0.0, 2), (0.3, 3)])
         simulator = SlottedSimulator(
-            scheme, activity=schedule, phy=phy, seed=4, broadcast_control=False
+            scheme, activity=schedule, phy=phy, seed=4
         )
         advertised = simulator.controller.control()["p"]
         assert advertised != pytest.approx(0.1)
@@ -214,13 +214,13 @@ class TestDynamicActivity:
         assert counters[2] >= 0
 
     def test_joining_station_tracks_controller_end_to_end(self, phy):
-        # With broadcast off a station only learns control from its own ACKs
-        # or at join time; either way the late joiner must end the run on the
-        # controller's advertised probability, not its construction default.
+        # Whether it learns control from a broadcast ACK or at join time,
+        # the late joiner must end the run on the controller's advertised
+        # probability, not its construction default.
         scheme = wtop_csma_scheme(phy, update_period=50.0, initial_station_p=0.1)
         schedule = step_activity([(0.0, 2), (0.3, 3)])
         simulator = SlottedSimulator(
-            scheme, activity=schedule, phy=phy, seed=4, broadcast_control=False
+            scheme, activity=schedule, phy=phy, seed=4
         )
         simulator.run(duration=0.6)
         advertised = simulator.controller.control()["p"]

@@ -17,7 +17,12 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.campaign import RunTask, SchemeSpec, TopologySpec
+from repro.experiments.campaign import (
+    ArrivalProcess,
+    RunTask,
+    SchemeSpec,
+    TopologySpec,
+)
 from repro.experiments.campaign.batching import execute_batch
 from repro.experiments.campaign.executor import execute_task
 from repro.telemetry import Telemetry, session
@@ -142,7 +147,8 @@ class TestBitIdentity:
 
     def test_retry_limited_discards_are_counted_and_identical(self):
         task = dataclasses.replace(
-            connected_task("slotted", num_stations=8, seed=1), retry_limit=1,
+            connected_task("slotted", num_stations=8, seed=1),
+            traffic=ArrivalProcess.saturated(retry_limit=1),
         )
         traced, records = run_with_telemetry(task)
         [record] = [r for r in records if r["type"] == "counters"]

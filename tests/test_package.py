@@ -41,12 +41,12 @@ class TestSubpackages:
             assert hasattr(module, symbol), f"{name}.__all__ lists missing {symbol}"
 
     def test_scheme_names_usable_end_to_end(self):
-        # The four paper schemes can all be instantiated through the registry
-        # and produce policies plus a controller.
-        from repro.mac import SCHEME_NAMES, scheme_by_name
+        # The four paper schemes can all be instantiated through the kind
+        # table and produce policies plus a controller.
+        from repro.mac import SCHEME_KINDS
 
-        for name in SCHEME_NAMES:
-            scheme = scheme_by_name(name)
+        for name in ("standard-802.11", "idlesense", "wtop-csma", "tora-csma"):
+            scheme = SCHEME_KINDS[name].scheme()
             policies = scheme.make_policies(3)
             assert len(policies) == 3
             assert scheme.make_controller() is not None

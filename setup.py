@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Setup shim: ``pip install -e .`` installs the ``repro`` package of
+``src/``, which setuptools (61 or later) finds by its automatic discovery.
 
-The project is configured through ``pyproject.toml``; this file only exists
-so that ``pip install -e .`` works on environments whose setuptools/pip lack
-PEP 660 editable-install support (e.g. offline machines without ``wheel``).
+Nothing else reads this file: the tests, the CLI and the benchmark run from
+the source tree with ``PYTHONPATH=src``.  There is no ``pyproject.toml``;
+the README lists the runtime dependencies (numpy and scipy).
 """
 
 from setuptools import setup

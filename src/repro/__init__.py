@@ -3,8 +3,9 @@ Throughput Performance of Wireless LANs" (Krishnan & Chaporkar, 2010).
 
 The package is organised as:
 
-* :mod:`repro.phy`        — PHY timing constants, frames, propagation models;
-* :mod:`repro.topology`   — node placement, sensing graphs, hidden-node analysis;
+* :mod:`repro.phy`        — PHY timing constants and frames;
+* :mod:`repro.topology`   — node placement, the decode and carrier-sense
+  radii, sensing sets and hidden-node analysis;
 * :mod:`repro.mac`        — backoff policies (802.11 DCF, p-persistent,
   RandomReset, IdleSense) and named schemes;
 * :mod:`repro.core`       — the paper's contribution: Kiefer-Wolfowitz

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from ..phy.constants import DEFAULT_BIT_RATE
 from .controller import AccessPointController, ControlUpdate, SegmentThroughputMeter
 from .kiefer_wolfowitz import GainSchedule, TwoSidedGradientTracker
-from .mapping import ControlMapping, LinearMapping, LogMapping
+from .mapping import ControlMapping, LogMapping
 
 __all__ = [
     "WTopCsmaController",

@@ -10,11 +10,12 @@ Two vectorized backends exist, selected by a task's topology family:
   matrix; cells in one batch share everything except station count,
   topology and seed.
 
-This module decides which tasks qualify (:func:`fallback_reason`), groups
-them (:func:`plan_batches` — the grouping key includes the topology family
-so the two backends never mix inside one call) and executes one group as a
-single vectorized run (:func:`execute_batch`), annotating each cell's
-result with :func:`annotate` exactly like
+This module re-exports the eligibility rule (:func:`fallback_reason`, which
+:class:`~repro.experiments.campaign.specs.RunTask` also applies), groups
+eligible tasks (:func:`plan_batches` — the grouping key includes the
+topology family so the two backends never mix inside one call) and executes
+one group as a single vectorized run (:func:`execute_batch`), annotating
+each cell's result with :func:`annotate` exactly like
 :func:`~repro.experiments.campaign.executor.execute_task` does.
 
 Because per-cell results are independent of batch composition (each cell
@@ -29,11 +30,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...sim.batched import batchable_scheme, run_batched
+from ...sim.batched import run_batched
 from ...sim.conflict import run_conflict
 from ...sim.dynamics import step_activity
 from ...sim.metrics import SimulationResult
-from .specs import RunTask
+from .specs import RunTask, fallback_reason
 
 __all__ = [
     "fallback_reason",
@@ -57,29 +58,6 @@ def topology_fingerprint(task: RunTask) -> str:
     call never mixes backends.
     """
     return "connected" if task.topology.kind == "connected" else "graph"
-
-
-def fallback_reason(task: RunTask) -> Optional[str]:
-    """Why a task has no batched kernel (``None`` when it is eligible).
-
-    This is the single source of truth for batch eligibility, phrased as a
-    diagnosis: the executor surfaces the reason when an ``auto`` hidden-node
-    task silently degrades from the conflict-matrix backend to the (3x
-    slower) event-driven simulator, and telemetry attaches it to the task's
-    trace record.  It is a pure function of the task (never of its
-    neighbours), so backend resolution stays deterministic and cache keys
-    stable across campaigns that submit different task mixes.
-    """
-    if not batchable_scheme(task.scheme.kind, dict(task.scheme.params)):
-        return f"unbatchable scheme '{task.scheme.kind}'"
-    if task.topology.kind == "connected":
-        return None
-    if task.topology.kind in ("hidden-disc", "two-cluster"):
-        if task.activity is not None:
-            return ("activity schedule (the conflict-matrix backend models "
-                    "static populations only)")
-        return None
-    return f"topology kind '{task.topology.kind}' has no batched kernel"
 
 
 def degraded_reason(kind: str, target: str) -> str:

@@ -32,6 +32,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ...mac.schemes import SCHEME_KINDS, Scheme, scheme_kind
 from ...phy.constants import PhyParameters
+from ...sim.batched import batchable_scheme
 from ...topology.graph import ConnectivityGraph
 from ...topology.scenarios import (
     fully_connected_scenario,
@@ -45,6 +46,7 @@ __all__ = [
     "SchemeSpec",
     "TopologySpec",
     "RunTask",
+    "fallback_reason",
     "derive_seed",
     "CACHE_VERSION",
 ]
@@ -104,7 +106,13 @@ class SchemeSpec:
 
     @classmethod
     def make(cls, kind: str, **params: object) -> "SchemeSpec":
-        scheme_kind(kind)
+        """The spec of ``kind`` with these parameters.
+
+        ``ValueError`` for an unknown kind; ``TypeError`` for a parameter
+        the kind does not take or a required one left out, so a misspelled
+        name fails here rather than when the cell runs.
+        """
+        scheme_kind(kind).resolve(params)
         normalized = tuple(
             sorted((name, _canonical(value)) for name, value in params.items())
         )
@@ -249,7 +257,8 @@ class RunTask:
     vectorized multi-cell simulators: the renewal-slot backend for connected
     topologies, the conflict-matrix backend for hidden-node topologies — the
     executor's planner assigns it to eligible ``auto`` tasks, see
-    :mod:`repro.experiments.campaign.batching`).  ``label`` is cosmetic
+    :mod:`repro.experiments.campaign.batching`; a task that asks for it must
+    be eligible, see :func:`fallback_reason`).  ``label`` is cosmetic
     (progress lines, result metadata) and deliberately excluded from
     :meth:`task_key` so renaming a sweep does not invalidate its cache.
 
@@ -300,12 +309,10 @@ class RunTask:
             raise ValueError(
                 "the slotted simulator only models connected topologies"
             )
-        if (self.simulator == "batched" and self.topology.kind != "connected"
-                and self.activity is not None):
-            raise ValueError(
-                "the batched conflict-matrix backend does not support "
-                "activity schedules on hidden-node topologies"
-            )
+        if self.simulator == "batched":
+            reason = fallback_reason(self)
+            if reason is not None:
+                raise ValueError(f"no batched kernel models this task: {reason}")
         if self.activity is not None:
             object.__setattr__(
                 self, "activity",
@@ -364,6 +371,26 @@ class RunTask:
         """
         target = "slotted" if self.topology.kind == "connected" else "event"
         return dataclasses.replace(self, simulator=target)
+
+
+def fallback_reason(task: RunTask) -> Optional[str]:
+    """Why a task has no batched kernel (``None`` when it is eligible).
+
+    This is the single source of truth for batch eligibility, phrased as a
+    diagnosis: a task that asks for ``simulator="batched"`` is refused with
+    it, the executor surfaces it when an ``auto`` hidden-node task degrades
+    from the conflict-matrix backend to the (3x slower) event-driven
+    simulator, and telemetry attaches it to the task's trace record.  It is
+    a pure function of the task (never of its neighbours), so backend
+    resolution stays deterministic and cache keys stable across campaigns
+    that submit different task mixes.
+    """
+    if not batchable_scheme(task.scheme.kind, dict(task.scheme.params)):
+        return f"unbatchable scheme '{task.scheme.kind}'"
+    if task.topology.kind != "connected" and task.activity is not None:
+        return ("activity schedule (the conflict-matrix backend models "
+                "static populations only)")
+    return None
 
 
 # ----------------------------------------------------------------------

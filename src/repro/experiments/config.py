@@ -16,7 +16,7 @@ of simulated seconds) are reachable by constructing a custom config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 __all__ = ["ExperimentConfig", "QUICK", "PAPER"]
@@ -106,9 +106,8 @@ class ExperimentConfig:
         Adaptive schemes (IdleSense, wTOP-CSMA, TORA-CSMA) get the longer
         :attr:`adaptive_warmup` so their controllers converge before
         steady-state throughput is measured; open-loop schemes get the short
-        :attr:`warmup`.  Both the legacy direct-run helpers and the campaign
-        task builders in :mod:`repro.experiments.runner` use this, so every
-        execution path measures with identical budgets.
+        :attr:`warmup`.  The task builders in :mod:`repro.experiments.runner`
+        use this, so every figure measures with identical budgets.
         """
         return self.measure_duration, (self.adaptive_warmup if adaptive else self.warmup)
 

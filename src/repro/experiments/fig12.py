@@ -23,7 +23,6 @@ from ..analysis.randomreset import (
     randomreset_attempt_probability,
     randomreset_conditional_attempt_probability,
 )
-from ..phy.constants import PhyParameters
 from .runner import ExperimentResult, ExperimentRow
 
 __all__ = ["run_fig12"]

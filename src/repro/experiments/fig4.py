@@ -10,7 +10,7 @@ with the event-driven simulator and reports the unimodality check.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..analysis.quasiconcavity import check_quasiconcavity
 from ..phy.constants import PhyParameters
 from .campaign import CampaignExecutor, SchemeSpec

@@ -14,7 +14,7 @@ expensive) uses the event-driven simulator on a radius-16 disc placement.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from ..phy.constants import PhyParameters
 from ..sim.dynamics import ActivitySchedule, step_activity

@@ -9,7 +9,7 @@ comparisons can be made directly from the console output (and are captured in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .runner import ExperimentResult
 

@@ -94,7 +94,11 @@ def connected_task(
     traffic: Optional["ArrivalProcess"] = None,
     label: str = "",
 ) -> RunTask:
-    """Task for one scheme on a fully connected network (slotted simulator)."""
+    """Task for one scheme on a fully connected network.
+
+    Under the ``auto`` backend it runs on the batched renewal kernel when
+    one models it, else on the slotted simulator.
+    """
     duration, warmup = config.durations_for(spec.adaptive)
     return RunTask(
         scheme=spec,
@@ -123,7 +127,11 @@ def hidden_task(
     traffic: Optional["ArrivalProcess"] = None,
     label: str = "",
 ) -> RunTask:
-    """Task for one scheme on a hidden-node disc (event-driven simulator)."""
+    """Task for one scheme on a hidden-node disc.
+
+    Under the ``auto`` backend it runs on the batched conflict-matrix kernel
+    when one models it, else on the event-driven simulator.
+    """
     duration, warmup = config.durations_for(spec.adaptive)
     return RunTask(
         scheme=spec,

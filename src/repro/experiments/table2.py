@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..analysis.fairness import weighted_fairness_report
 from ..phy.constants import PhyParameters
 from .campaign import CampaignExecutor, SchemeSpec

@@ -21,7 +21,6 @@ and unit tests.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Dict, Mapping, Optional
 

@@ -33,10 +33,10 @@ to know about its kind:
   kernels run (:mod:`repro.mac.batched`, :mod:`repro.core.batched`), with
   per-cell or per-station channel observations as the kernel asks; ``None``
   when no kernel models the kind;
-* ``controller_kwargs`` — whether the scalar AP controller also takes its
-  own further keywords (gain schedule, mapping, ...).  The banks honour
-  only the declared parameters, so a parameter set with any other keyword
-  runs on the scalar simulators.
+* ``controller`` — the scalar AP controller class when the kind also
+  takes that controller's further keywords (gain schedule, mapping, ...).
+  The banks honour only the declared parameters, so a parameter set with
+  any other keyword runs on the scalar simulators.
 
 The campaign's ``SchemeSpec`` (kind plus parameters), the batched kernels'
 ``make_batched_system`` and the batching planner's eligibility check all
@@ -48,6 +48,7 @@ The named factories below (``wtop_csma_scheme`` and so on) build a scalar
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import signature
 from types import SimpleNamespace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -155,14 +156,20 @@ class SchemeKind:
     defaults: Mapping[str, object]
     scalar: Callable
     banks: Optional[Callable] = None
-    controller_kwargs: bool = False
+    controller: Optional[type] = None
 
-    def _resolve(self, params: Mapping[str, object]):
-        """The declared parameters with defaults filled in, and the rest."""
+    def resolve(self, params: Mapping[str, object]):
+        """The declared parameters with defaults filled in, and the rest.
+
+        ``TypeError`` names a parameter that is neither declared nor taken
+        by :attr:`controller`, or a :data:`REQUIRED` one left out.
+        """
         extra = {k: v for k, v in params.items() if k not in self.defaults}
-        if extra and not self.controller_kwargs:
+        taken = signature(self.controller).parameters if self.controller else ()
+        unknown = sorted(set(extra).difference(taken))
+        if unknown:
             raise TypeError(f"scheme kind '{self.kind}' takes no "
-                            f"parameter(s) {sorted(extra)}")
+                            f"parameter(s) {unknown}")
         args = {k: params.get(k, v) for k, v in self.defaults.items()}
         missing = sorted(k for k, v in args.items() if v is REQUIRED)
         if missing:
@@ -172,7 +179,7 @@ class SchemeKind:
 
     def scheme(self, phy: Optional[PhyParameters] = None, **params) -> Scheme:
         """The scalar :class:`Scheme` for these parameters."""
-        args, extra = self._resolve(params)
+        args, extra = self.resolve(params)
         policy, controller = self.scalar(phy or PhyParameters(), args, extra)
         return Scheme(self.name.format(**vars(args)), policy, controller,
                       self.adaptive)
@@ -188,7 +195,7 @@ class SchemeKind:
         if not self.batchable(params):
             raise ValueError(f"scheme kind '{self.kind}' with params "
                              f"{sorted(params)} has no batched kernel")
-        args, _ = self._resolve(params)
+        args, _ = self.resolve(params)
         policy, controller = self.banks(phy, args, num_cells, max_stations,
                                         per_station)
         return policy, controller, self.name.format(**vars(args))
@@ -309,12 +316,12 @@ _DECLARATIONS = (
     SchemeKind("wtop-csma", "wTOP-CSMA", True,
                {"update_period": DEFAULT_UPDATE_PERIOD, "initial_control": 0.5,
                 "initial_station_p": 0.1, "initial_p": None, "weights": None},
-               _wtop, _wtop_banks, controller_kwargs=True),
+               _wtop, _wtop_banks, controller=WTopCsmaController),
     SchemeKind("tora-csma", "TORA-CSMA", True,
                {"update_period": DEFAULT_UPDATE_PERIOD, "initial_p0": 0.5,
                 "initial_stage": 0, "low_threshold": DEFAULT_LOW_THRESHOLD,
                 "high_threshold": DEFAULT_HIGH_THRESHOLD},
-               _tora, _tora_banks, controller_kwargs=True),
+               _tora, _tora_banks, controller=ToraCsmaController),
     SchemeKind("n-estimating", "N-estimating p-persistent", True,
                {"initial_estimate": 10.0}, _n_estimating),
     SchemeKind("fixed-p", "p-persistent(p={p:g})", False,

@@ -1,4 +1,4 @@
-"""PHY layer: timing constants, frames and propagation models."""
+"""PHY layer: timing constants and frames."""
 
 from .constants import (
     DEFAULT_PHY,
@@ -8,12 +8,6 @@ from .constants import (
     seconds_to_ns,
 )
 from .frame import AckFrame, DataFrame, Frame, FrameFactory, FrameType
-from .propagation import (
-    LogDistancePropagation,
-    PropagationModel,
-    RangeBasedPropagation,
-    friis_path_loss_db,
-)
 
 __all__ = [
     "DEFAULT_PHY",
@@ -26,8 +20,4 @@ __all__ = [
     "Frame",
     "FrameFactory",
     "FrameType",
-    "LogDistancePropagation",
-    "PropagationModel",
-    "RangeBasedPropagation",
-    "friis_path_loss_db",
 ]

@@ -22,7 +22,7 @@ collided transmission durations ``Ts`` and ``Tc`` used throughout the paper::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 __all__ = [
@@ -121,7 +121,9 @@ class PhyParameters:
         Minimum and maximum contention window sizes.
     energy_detection_dbm / cca_mode1_dbm:
         Receiver thresholds, retained for parity with the ns-3 configuration
-        (Table I); used by :mod:`repro.phy.propagation` to derive ranges.
+        (Table I).  No simulator reads them: the topology takes the decode
+        and carrier-sense radii they set in ns-3 directly
+        (:class:`repro.topology.graph.ConnectivityGraph`).
     """
 
     slot_time: float = DEFAULT_SLOT_TIME

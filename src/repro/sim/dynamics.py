@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["ActivitySchedule", "constant_activity", "step_activity"]
 

@@ -4,7 +4,9 @@ A minimal, dependency-free event scheduler built on :mod:`heapq`.  Time is an
 integer number of nanoseconds so that event ordering is exact and independent
 of floating-point rounding; helpers convert to/from seconds at the edges.
 
-Events are callbacks scheduled at absolute times.  Cancelling an event marks
+Events are callbacks scheduled at absolute times.  The heap holds
+``(time_ns, sequence, event)`` entries, so its comparisons run on integers
+in C and same-time events run in insertion order.  Cancelling an event marks
 it dead in place (lazy deletion), which keeps cancellation O(1) — important
 because the CSMA state machines cancel a scheduled transmission every time
 the medium turns busy during a countdown.  Long hidden-node runs retime
@@ -27,13 +29,11 @@ __all__ = ["Event", "EventScheduler", "SimulationClock"]
 class Event:
     """A scheduled callback.  Create via :meth:`EventScheduler.schedule_at`."""
 
-    __slots__ = ("time_ns", "sequence", "callback", "args", "cancelled",
-                 "done")
+    __slots__ = ("time_ns", "callback", "args", "cancelled", "done")
 
-    def __init__(self, time_ns: int, sequence: int,
-                 callback: Callable[..., None], args: Tuple[Any, ...]) -> None:
+    def __init__(self, time_ns: int, callback: Callable[..., None],
+                 args: Tuple[Any, ...]) -> None:
         self.time_ns = time_ns
-        self.sequence = sequence
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -41,10 +41,6 @@ class Event:
         # away); late cancel() calls on such events must not touch the
         # scheduler's cancelled-entry accounting.
         self.done = False
-
-    def __lt__(self, other: "Event") -> bool:
-        # Tie-break by insertion order so same-time events run FIFO.
-        return (self.time_ns, self.sequence) < (other.time_ns, other.sequence)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid only
         state = "cancelled" if self.cancelled else "pending"
@@ -75,7 +71,7 @@ class EventScheduler:
     COMPACTION_FLOOR = 64
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[int, int, Event]] = []
         self._sequence = itertools.count()
         self._now_ns = 0
         self._processed = 0
@@ -125,8 +121,8 @@ class EventScheduler:
             raise ValueError(
                 f"cannot schedule in the past (now={self._now_ns}, requested={time_ns})"
             )
-        event = Event(int(time_ns), next(self._sequence), callback, args)
-        heapq.heappush(self._heap, event)
+        event = Event(int(time_ns), callback, args)
+        heapq.heappush(self._heap, (event.time_ns, next(self._sequence), event))
         return event
 
     def schedule_in(self, delay_ns: int, callback: Callable[..., None],
@@ -154,10 +150,11 @@ class EventScheduler:
 
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild the heap in one O(n) pass."""
-        for event in self._heap:
+        for _, _, event in self._heap:
             if event.cancelled:
                 event.done = True
-        self._heap = [event for event in self._heap if not event.cancelled]
+        # In place: run_until holds a reference to the list.
+        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
         self._compactions += 1
@@ -166,7 +163,7 @@ class EventScheduler:
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             event.done = True
             if event.cancelled:
                 self._cancelled -= 1
@@ -185,11 +182,11 @@ class EventScheduler:
         """
         if time_ns < self._now_ns:
             raise ValueError("cannot run into the past")
-        while self._heap:
-            event = self._heap[0]
-            if event.time_ns > time_ns:
+        heap = self._heap
+        while heap:
+            if heap[0][0] > time_ns:
                 break
-            heapq.heappop(self._heap)
+            event = heapq.heappop(heap)[2]
             event.done = True
             if event.cancelled:
                 self._cancelled -= 1

@@ -16,7 +16,7 @@ corrupt anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Set
 
 from ..phy.frame import Frame, FrameType

@@ -108,6 +108,9 @@ class StationProcess:
         self._medium = medium
         self._frames = frame_factory
         self._phy = phy
+        # Read on every channel event; the PHY is immutable.
+        self._slot_ns = phy.slot_time_ns
+        self._difs_ns = phy.difs_ns
         self._rng = rng
         self._on_transmission_end = on_transmission_end
         self._queue = queue
@@ -240,7 +243,7 @@ class StationProcess:
             self._scheduler.cancel(self._tx_start_event)
             self._tx_start_event = None
             freeze_elapsed = int(
-                (now_ns - self._countdown_started_ns) // self._phy.slot_time_ns
+                (now_ns - self._countdown_started_ns) // self._slot_ns
             )
             self._remaining_slots = max(self._remaining_slots - freeze_elapsed, 0)
             self._state = StationState.DEFERRING
@@ -284,14 +287,14 @@ class StationProcess:
     def _start_difs(self) -> None:
         self._state = StationState.WAITING_DIFS
         self._difs_event = self._scheduler.schedule_in(
-            self._phy.difs_ns, self._difs_elapsed
+            self._difs_ns, self._difs_elapsed
         )
 
     def _difs_elapsed(self) -> None:
         self._difs_event = None
         self._state = StationState.COUNTING
         self._countdown_started_ns = self._scheduler.now_ns
-        delay_ns = self._remaining_slots * self._phy.slot_time_ns
+        delay_ns = self._remaining_slots * self._slot_ns
         self._tx_start_event = self._scheduler.schedule_in(
             delay_ns, self._begin_transmission
         )

@@ -20,10 +20,9 @@ Typical use::
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 

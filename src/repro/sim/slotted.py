@@ -142,6 +142,9 @@ class SlottedSimulator:
         self._policies: List[BackoffPolicy] = scheme.make_policies(self._num_stations)
         self._controller: AccessPointController = scheme.make_controller()
         self._observers = [p for p in self._policies if p.observes_channel]
+        # The control every policy last picked up; applying a control is
+        # idempotent, so an unchanged broadcast is skipped.
+        self._applied_control: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -560,10 +563,11 @@ class SlottedSimulator:
                     has_frame[station] = True
 
     def _apply_control_to_all(self, control: Dict[str, float]) -> None:
-        if not control:
+        if not control or control == self._applied_control:
             return
         for policy in self._policies:
             policy.apply_control(control)
+        self._applied_control = dict(control)
 
     def _handle_activity_change(self, old_active: int, new_active: int,
                                 counters: np.ndarray) -> None:

@@ -1,13 +1,12 @@
-"""Topology: node placement, connectivity graphs and hidden-node analysis."""
+"""Topology: node placement, sensing graphs and hidden-node analysis."""
 
-from .graph import ConnectivityGraph, HiddenNodeReport, build_connectivity
+from .graph import ConnectivityGraph, HiddenNodeReport
 from .placement import (
     AP_POSITION,
     Placement,
     Position,
     clustered_placement,
     explicit_placement,
-    grid_placement,
     ring_placement,
     uniform_disc_placement,
 )
@@ -17,20 +16,17 @@ from .scenarios import (
     HIDDEN_DISC_RADIUS_SMALL,
     fully_connected_scenario,
     hidden_node_scenario,
-    paper_propagation,
     two_cluster_hidden_scenario,
 )
 
 __all__ = [
     "ConnectivityGraph",
     "HiddenNodeReport",
-    "build_connectivity",
     "AP_POSITION",
     "Placement",
     "Position",
     "clustered_placement",
     "explicit_placement",
-    "grid_placement",
     "ring_placement",
     "uniform_disc_placement",
     "FULLY_CONNECTED_RING_RADIUS",
@@ -38,6 +34,5 @@ __all__ = [
     "HIDDEN_DISC_RADIUS_SMALL",
     "fully_connected_scenario",
     "hidden_node_scenario",
-    "paper_propagation",
     "two_cluster_hidden_scenario",
 ]

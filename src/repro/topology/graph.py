@@ -1,35 +1,33 @@
-"""Connectivity and carrier-sensing graphs derived from placements.
+"""Carrier-sense relationships between stations, from two radii.
 
-Given a :class:`~repro.topology.placement.Placement` and a
-:class:`~repro.phy.propagation.PropagationModel`, this module computes:
+The paper configures ns-3 so that a node decodes frames from nodes within
+16 distance units and carrier-senses transmissions from nodes within 24
+units (Section I and Table I).  Only these two radii matter to the MAC-level
+behaviour the paper studies, so they are the whole topology model: given a
+:class:`~repro.topology.placement.Placement`, :class:`ConnectivityGraph`
+computes
 
-* the **sensing graph**: an undirected graph with an edge between stations
-  that can carrier-sense each other's transmissions;
-* the **decode graph**: edges between stations that can decode each other
-  (only used for diagnostics — the paper's traffic is all uplink);
-* the set of **hidden pairs**: pairs of stations that cannot sense each
-  other (the complement of the sensing graph), which is exactly the paper's
-  definition "node i is hidden from node j if i is outside the sensing range
-  of j";
-* per-station sensing sets ``T_t`` used by the event-driven simulator.
+* per-station sensing sets ``T_t`` (stations at most ``sense_range``
+  apart sense each other), used by the event-driven simulator;
+* the set of **hidden pairs** — stations more than ``sense_range`` apart,
+  which is exactly the paper's definition "node i is hidden from node j if
+  i is outside the sensing range of j";
+* the boolean sensing matrix the batched conflict-matrix simulator runs on;
 
-The class wraps :mod:`networkx` graphs so downstream analyses (components,
-cliques, densities) are one call away, but exposes plain ``frozenset`` views
-for the hot simulator path.
+and checks that the AP decodes every station (each is at most
+``decode_range`` from it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
-from ..phy.propagation import PropagationModel, RangeBasedPropagation
 from .placement import Placement
 
-__all__ = ["ConnectivityGraph", "HiddenNodeReport", "build_connectivity"]
+__all__ = ["ConnectivityGraph", "HiddenNodeReport"]
 
 
 @dataclass(frozen=True)
@@ -51,97 +49,47 @@ class HiddenNodeReport:
 
 
 class ConnectivityGraph:
-    """Sensing/decoding relationships between stations and the AP.
+    """Sensing relationships between stations and the AP.
 
     Parameters
     ----------
     placement:
         Station and AP coordinates.
-    propagation:
-        Model deciding decode/sense reachability from pairwise distance.
-    shadowing_db:
-        Optional symmetric matrix of per-link extra losses in dB
-        (``shape (N, N)``); positive entries make links worse.  This is how
-        "obstacle" hidden nodes are injected without moving nodes.
-    require_ap_coverage:
-        When True (default) a :class:`ValueError` is raised if some station
-        cannot be decoded by the AP — the paper's scenarios always keep every
-        station inside the AP's decode range.
+    decode_range:
+        Distance within which frames are decoded (positive).  Every station
+        must be at most this far from the AP — the paper's scenarios keep
+        every station inside the AP's decode range — else a
+        :class:`ValueError` is raised.
+    sense_range:
+        Distance within which transmissions are carrier-sensed (at least
+        ``decode_range``); two stations farther apart are hidden.
     """
 
-    def __init__(
-        self,
-        placement: Placement,
-        propagation: Optional[PropagationModel] = None,
-        shadowing_db: Optional[np.ndarray] = None,
-        require_ap_coverage: bool = True,
-    ) -> None:
-        self._placement = placement
-        self._propagation = propagation or RangeBasedPropagation()
-        self._propagation.validate()
+    def __init__(self, placement: Placement, decode_range: float = 16.0,
+                 sense_range: float = 24.0) -> None:
+        if decode_range <= 0:
+            raise ValueError("decode_range must be positive")
+        if sense_range < decode_range:
+            raise ValueError(
+                "sense_range must be at least decode_range "
+                f"(sense={sense_range}, decode={decode_range})"
+            )
         n = placement.num_stations
-        if shadowing_db is not None:
-            shadowing_db = np.asarray(shadowing_db, dtype=float)
-            if shadowing_db.shape != (n, n):
-                raise ValueError(
-                    f"shadowing_db must have shape ({n}, {n}), got {shadowing_db.shape}"
-                )
-            if not np.allclose(shadowing_db, shadowing_db.T):
-                raise ValueError("shadowing_db must be symmetric")
-        self._shadowing_db = shadowing_db
-
-        self._sense_sets: List[FrozenSet[int]] = []
-        self._sensing_graph = nx.Graph()
-        self._decode_graph = nx.Graph()
-        self._sensing_graph.add_nodes_from(range(n))
-        self._decode_graph.add_nodes_from(range(n))
-        self._build(require_ap_coverage)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _effective_distance(self, i: int, j: int) -> float:
-        """Distance between stations adjusted for per-link shadowing.
-
-        Shadowing is folded into an *effective* distance so that both the
-        range-based and the threshold-based propagation models honour it:
-        an extra loss of ``L`` dB with path-loss exponent ``n`` is equivalent
-        to multiplying the distance by ``10^(L / (10 n))``.
-        """
-        base = self._placement.distance(i, j)
-        if self._shadowing_db is None:
-            return base
-        loss = float(self._shadowing_db[i, j])
-        if loss == 0.0:
-            return base
-        exponent = getattr(self._propagation, "path_loss_exponent", 3.0)
-        return base * (10.0 ** (loss / (10.0 * exponent)))
-
-    def _build(self, require_ap_coverage: bool) -> None:
-        n = self._placement.num_stations
-        sense_sets: List[Set[int]] = [set() for _ in range(n)]
-        for i in range(n):
-            sense_sets[i].add(i)
-            for j in range(i + 1, n):
-                distance = self._effective_distance(i, j)
-                if self._propagation.can_sense(distance):
-                    sense_sets[i].add(j)
-                    sense_sets[j].add(i)
-                    self._sensing_graph.add_edge(i, j, distance=distance)
-                if self._propagation.can_decode(distance):
-                    self._decode_graph.add_edge(i, j, distance=distance)
-        self._sense_sets = [frozenset(s) for s in sense_sets]
-
-        uncovered = [
-            i for i in range(n)
-            if not self._propagation.can_decode(self._placement.distance_to_ap(i))
-        ]
-        self._uncovered_stations = tuple(uncovered)
-        if require_ap_coverage and uncovered:
+        uncovered = [i for i in range(n)
+                     if placement.distance_to_ap(i) > decode_range]
+        if uncovered:
             raise ValueError(
                 "stations outside the AP decode range: "
                 + ", ".join(str(i) for i in uncovered)
             )
+        sense_sets: List[Set[int]] = [{i} for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if placement.distance(i, j) <= sense_range:
+                    sense_sets[i].add(j)
+                    sense_sets[j].add(i)
+        self._placement = placement
+        self._sense_sets = tuple(frozenset(s) for s in sense_sets)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -151,43 +99,32 @@ class ConnectivityGraph:
         return self._placement
 
     @property
-    def propagation(self) -> PropagationModel:
-        return self._propagation
-
-    @property
     def num_stations(self) -> int:
         return self._placement.num_stations
 
-    @property
-    def sensing_graph(self) -> nx.Graph:
-        """Undirected graph of mutually-sensing station pairs."""
-        return self._sensing_graph
-
-    @property
-    def decode_graph(self) -> nx.Graph:
-        """Undirected graph of mutually-decoding station pairs."""
-        return self._decode_graph
-
-    @property
-    def uncovered_stations(self) -> Tuple[int, ...]:
-        """Stations the AP cannot decode (empty in valid paper scenarios)."""
-        return self._uncovered_stations
-
-    def sensing_set(self, station: int) -> FrozenSet[int]:
-        """Stations (including itself) whose transmissions ``station`` senses.
+    def sensing_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """Per station (by id), the stations, itself included, it senses.
 
         This is the paper's ``T_t`` restricted to stations; the AP is assumed
         to hear everyone and be heard by everyone.
         """
-        return self._sense_sets[station]
+        return self._sense_sets
 
-    def sensing_sets(self) -> Tuple[FrozenSet[int], ...]:
-        """All sensing sets, indexed by station id."""
-        return tuple(self._sense_sets)
+    def sensing_matrix(self) -> np.ndarray:
+        """Boolean carrier-sense matrix ``S`` with ``S[i, j]`` true iff
+        station ``i`` senses station ``j``'s transmissions.
 
-    def can_sense(self, i: int, j: int) -> bool:
-        """True if station ``i`` senses station ``j``'s transmissions."""
-        return j in self._sense_sets[i]
+        The matrix is symmetric (sensing is mutual in this model) and has a
+        True diagonal (a station trivially "senses" itself; consumers that
+        must ignore self-sensing, like the batched conflict simulator, zero
+        the diagonal).  For a fully connected topology this degenerates to
+        the all-ones matrix.
+        """
+        n = self.num_stations
+        matrix = np.zeros((n, n), dtype=bool)
+        for i, sensed in enumerate(self._sense_sets):
+            matrix[i, list(sensed)] = True
+        return matrix
 
     # ------------------------------------------------------------------
     # Hidden-node analysis
@@ -195,18 +132,12 @@ class ConnectivityGraph:
     def hidden_pairs(self) -> FrozenSet[Tuple[int, int]]:
         """All unordered pairs ``(i, j)`` that cannot sense each other."""
         n = self.num_stations
-        pairs = {
+        return frozenset(
             (i, j)
             for i in range(n)
             for j in range(i + 1, n)
             if j not in self._sense_sets[i]
-        }
-        return frozenset(pairs)
-
-    def hidden_peers(self, station: int) -> FrozenSet[int]:
-        """Stations hidden from ``station``."""
-        everyone = set(range(self.num_stations))
-        return frozenset(everyone - set(self._sense_sets[station]))
+        )
 
     def is_fully_connected(self) -> bool:
         """True when no hidden pair exists."""
@@ -225,61 +156,3 @@ class ConnectivityGraph:
             stations_with_hidden_peer=len(with_hidden),
             is_fully_connected=not pairs,
         )
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def sensing_components(self) -> List[Set[int]]:
-        """Connected components of the sensing graph (mutually audible groups)."""
-        return [set(c) for c in nx.connected_components(self._sensing_graph)]
-
-    def sensing_density(self) -> float:
-        """Edge density of the sensing graph in [0, 1]."""
-        n = self.num_stations
-        if n < 2:
-            return 1.0
-        return nx.density(self._sensing_graph)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean sensing adjacency matrix (diagonal True)."""
-        n = self.num_stations
-        matrix = np.zeros((n, n), dtype=bool)
-        for i, sense in enumerate(self._sense_sets):
-            for j in sense:
-                matrix[i, j] = True
-        return matrix
-
-    # ------------------------------------------------------------------
-    # Conflict-matrix views (the vectorized hidden-node backend's inputs)
-    # ------------------------------------------------------------------
-    def sensing_matrix(self) -> np.ndarray:
-        """Boolean carrier-sense matrix ``S`` with ``S[i, j]`` true iff
-        station ``i`` senses station ``j``'s transmissions.
-
-        The matrix is symmetric (sensing is mutual in this model) and has a
-        True diagonal (a station trivially "senses" itself; consumers that
-        must ignore self-sensing, like the batched conflict simulator, zero
-        the diagonal).  For a fully connected topology this degenerates to
-        the all-ones matrix.
-        """
-        return self.adjacency_matrix()
-
-    def hidden_matrix(self) -> np.ndarray:
-        """Boolean hidden-pair matrix ``H = ~S`` off the diagonal.
-
-        ``H[i, j]`` is True iff stations ``i`` and ``j`` are mutually hidden
-        (neither can carrier-sense the other), which is exactly the set
-        enumerated by :meth:`hidden_pairs`; the diagonal is always False.
-        """
-        matrix = ~self.sensing_matrix()
-        np.fill_diagonal(matrix, False)
-        return matrix
-
-
-def build_connectivity(
-    placement: Placement,
-    propagation: Optional[PropagationModel] = None,
-    shadowing_db: Optional[np.ndarray] = None,
-) -> ConnectivityGraph:
-    """Convenience wrapper mirroring :class:`ConnectivityGraph` construction."""
-    return ConnectivityGraph(placement, propagation, shadowing_db)

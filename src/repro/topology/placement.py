@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ring_placement",
     "uniform_disc_placement",
     "clustered_placement",
-    "grid_placement",
     "explicit_placement",
     "AP_POSITION",
 ]
@@ -72,18 +71,6 @@ class Placement:
         """Euclidean distance from station ``i`` to the AP."""
         xi, yi = self.stations[i]
         return math.hypot(xi - self.ap[0], yi - self.ap[1])
-
-    def max_pairwise_distance(self) -> float:
-        """Largest distance between any two stations (0 for < 2 stations)."""
-        best = 0.0
-        for i in range(self.num_stations):
-            for j in range(i + 1, self.num_stations):
-                best = max(best, self.distance(i, j))
-        return best
-
-    def as_array(self) -> np.ndarray:
-        """Positions as an ``(N, 2)`` numpy array."""
-        return np.asarray(self.stations, dtype=float).reshape(-1, 2)
 
 
 def _validate_count(num_stations: int) -> None:
@@ -163,30 +150,6 @@ def clustered_placement(cluster_centers: Sequence[Position],
     return Placement(
         stations=tuple(positions),
         description=f"clusters(k={len(cluster_centers)}, N={len(positions)})",
-    )
-
-
-def grid_placement(rows: int, cols: int, spacing: float,
-                   center_on_ap: bool = True) -> Placement:
-    """Place stations on a regular ``rows x cols`` grid.
-
-    Primarily a testing aid: distances are exactly known so connectivity and
-    hidden-pair assertions can be written by hand.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be at least 1")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    x_offset = (cols - 1) * spacing / 2.0 if center_on_ap else 0.0
-    y_offset = (rows - 1) * spacing / 2.0 if center_on_ap else 0.0
-    positions = [
-        (c * spacing - x_offset, r * spacing - y_offset)
-        for r in range(rows)
-        for c in range(cols)
-    ]
-    return Placement(
-        stations=tuple(positions),
-        description=f"grid({rows}x{cols}, d={spacing:g})",
     )
 
 

@@ -1,8 +1,8 @@
 """Pre-packaged network scenarios used throughout the paper's evaluation.
 
-These helpers combine a placement strategy with the paper's propagation
-parameters (decode range 16 units, carrier-sense range 24 units) and return a
-ready :class:`~repro.topology.graph.ConnectivityGraph`.
+These helpers combine a placement strategy with the paper's two radii
+(decode range 16 units, carrier-sense range 24 units) and return a ready
+:class:`~repro.topology.graph.ConnectivityGraph`.
 
 Three scenario families cover every figure:
 
@@ -21,17 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..phy.propagation import PropagationModel, RangeBasedPropagation
 from .graph import ConnectivityGraph
 from .placement import (
-    Placement,
     clustered_placement,
     ring_placement,
     uniform_disc_placement,
 )
 
 __all__ = [
-    "paper_propagation",
     "fully_connected_scenario",
     "hidden_node_scenario",
     "two_cluster_hidden_scenario",
@@ -50,20 +47,12 @@ HIDDEN_DISC_RADIUS_SMALL = 16.0
 HIDDEN_DISC_RADIUS_LARGE = 20.0
 
 
-def paper_propagation() -> RangeBasedPropagation:
-    """The paper's propagation setup: decode 16 units, sense 24 units."""
-    return RangeBasedPropagation(transmission_range=16.0, carrier_sense_range=24.0)
-
-
 def fully_connected_scenario(
     num_stations: int,
     radius: float = FULLY_CONNECTED_RING_RADIUS,
-    propagation: Optional[PropagationModel] = None,
 ) -> ConnectivityGraph:
     """Ring placement guaranteed to produce a fully connected network."""
-    propagation = propagation or paper_propagation()
-    placement = ring_placement(num_stations, radius=radius)
-    graph = ConnectivityGraph(placement, propagation)
+    graph = ConnectivityGraph(ring_placement(num_stations, radius=radius))
     if not graph.is_fully_connected():
         raise ValueError(
             "requested fully connected scenario produced hidden pairs; "
@@ -76,7 +65,6 @@ def hidden_node_scenario(
     num_stations: int,
     rng: np.random.Generator,
     radius: float = HIDDEN_DISC_RADIUS_SMALL,
-    propagation: Optional[PropagationModel] = None,
     require_hidden_pairs: bool = False,
     max_attempts: int = 50,
 ) -> ConnectivityGraph:
@@ -87,22 +75,18 @@ def hidden_node_scenario(
     ``require_hidden_pairs=True`` to resample until at least one hidden pair
     exists, which matches the paper's "with hidden nodes" data points.
 
-    When no propagation model is given, the decode range is extended to cover
-    the requested disc radius (the paper's Section VI uses radii of 16 and
-    20 m with every station still able to reach the AP); the carrier-sense
-    range stays at 24 units so hidden pairs arise exactly when two stations
-    are more than 24 units apart, as the paper states.
+    The decode range is extended to cover the requested disc radius (the
+    paper's Section VI uses radii of 16 and 20 m with every station still
+    able to reach the AP); the carrier-sense range stays at 24 units so
+    hidden pairs arise exactly when two stations are more than 24 units
+    apart, as the paper states.
     """
-    if propagation is None:
-        decode = max(16.0, float(radius))
-        propagation = RangeBasedPropagation(
-            transmission_range=decode,
-            carrier_sense_range=max(24.0, decode),
-        )
+    decode = max(16.0, float(radius))
+    sense = max(24.0, decode)
     last: Optional[ConnectivityGraph] = None
     for _ in range(max_attempts):
         placement = uniform_disc_placement(num_stations, radius=radius, rng=rng)
-        graph = ConnectivityGraph(placement, propagation)
+        graph = ConnectivityGraph(placement, decode, sense)
         last = graph
         if not require_hidden_pairs or not graph.is_fully_connected():
             return graph
@@ -116,7 +100,6 @@ def two_cluster_hidden_scenario(
     rng: Optional[np.random.Generator] = None,
     separation: float = 28.0,
     spread: float = 1.0,
-    propagation: Optional[PropagationModel] = None,
 ) -> ConnectivityGraph:
     """Two tight clusters placed symmetrically about the AP.
 
@@ -127,7 +110,6 @@ def two_cluster_hidden_scenario(
     """
     if stations_per_cluster < 1:
         raise ValueError("stations_per_cluster must be at least 1")
-    propagation = propagation or paper_propagation()
     rng = rng or np.random.default_rng(0)
     half = separation / 2.0
     placement = clustered_placement(
@@ -136,5 +118,4 @@ def two_cluster_hidden_scenario(
         spread=spread,
         rng=rng,
     )
-    graph = ConnectivityGraph(placement, propagation)
-    return graph
+    return ConnectivityGraph(placement)

@@ -30,7 +30,11 @@ from repro.experiments.campaign import (
     result_to_dict,
 )
 from repro.experiments.campaign import executor as executor_module
+from repro.mac.schemes import REQUIRED, SCHEME_KINDS
 from repro.phy.constants import PhyParameters
+
+#: A valid value for each parameter a scheme kind requires.
+_REQUIRED_VALUES = {"p": 0.1, "stage": 1, "p0": 0.5}
 
 
 def _quick_task(seed=1, num_stations=4, duration=0.25, **overrides):
@@ -75,6 +79,45 @@ class TestSchemeSpec:
         spec = SchemeSpec.make("wtop-csma", weights=(1.0, 2.0), update_period=0.05)
         policies = spec.build(phy).make_policies(2)
         assert policies[0].weight != policies[1].weight
+
+    def test_undeclared_parameter_rejected_when_the_spec_is_made(self):
+        """A misspelled name fails here, not in a quarantined cell."""
+        with pytest.raises(TypeError, match=r"takes no parameter\(s\) \['target_idle'\]"):
+            SchemeSpec.make("idlesense", target_idle=4.0)
+        with pytest.raises(TypeError, match="takes no parameter"):
+            SchemeSpec.make("wtop-csma", initial_stage=1)
+        with pytest.raises(TypeError, match="takes no parameter"):
+            SchemeSpec.make("tora-csma", mapping="linear")
+        with pytest.raises(TypeError, match="needs parameter"):
+            SchemeSpec.make("fixed-randomreset", stage=1)
+
+    @pytest.mark.parametrize("kind", sorted(SCHEME_KINDS))
+    def test_every_kind_refuses_an_undeclared_parameter(self, kind):
+        required = {name: _REQUIRED_VALUES[name]
+                    for name, value in SCHEME_KINDS[kind].defaults.items()
+                    if value is REQUIRED}
+        with pytest.raises(TypeError, match=r"\['no_such_parameter'\]"):
+            SchemeSpec.make(kind, no_such_parameter=1.0, **required)
+
+    @pytest.mark.parametrize("kind", sorted(SCHEME_KINDS))
+    def test_every_kind_accepts_each_declared_parameter(self, kind, phy):
+        params = {name: _REQUIRED_VALUES.get(name, value)
+                  for name, value in SCHEME_KINDS[kind].defaults.items()}
+        spec = SchemeSpec.make(kind, **params)
+        assert dict(spec.params) == params
+        assert len(spec.build(phy).make_policies(2)) == 2
+
+    @pytest.mark.parametrize("kind, given", [
+        ("fixed-p", {}), ("fixed-randomreset", {"p0": 0.5})])
+    def test_missing_required_parameter_rejected(self, kind, given):
+        with pytest.raises(TypeError, match="needs parameter"):
+            SchemeSpec.make(kind, **given)
+
+    def test_controller_keywords_accepted_for_wtop_and_tora(self, phy):
+        spec = SchemeSpec.make("wtop-csma", initial_k=3)
+        assert spec.build(phy).make_controller() is not None
+        spec = SchemeSpec.make("tora-csma", throughput_scale=1e6)
+        assert spec.build(phy).make_controller() is not None
 
 
 class TestTopologySpec:
@@ -125,6 +168,29 @@ class TestRunTask:
                 topology=TopologySpec.hidden_disc(10, 16.0, 1),
                 simulator="slotted",
             )
+
+    @pytest.mark.parametrize("topology", [
+        TopologySpec.connected(4), TopologySpec.hidden_disc(4, 16.0, 1),
+        TopologySpec.two_cluster(2, 28.0, 1)])
+    def test_explicit_batched_task_without_a_kernel_rejected(self, topology):
+        """Refused when built, instead of degrading to a scalar simulator
+        under another task key."""
+        with pytest.raises(ValueError, match="unbatchable scheme 'n-estimating'"):
+            RunTask(scheme=SchemeSpec.make("n-estimating"), topology=topology,
+                    seed=1, duration=0.1, simulator="batched")
+
+    @pytest.mark.parametrize("topology", [
+        TopologySpec.connected(4), TopologySpec.hidden_disc(4, 16.0, 1),
+        TopologySpec.two_cluster(2, 28.0, 1)])
+    def test_explicit_batched_task_a_kernel_models_accepted(self, topology):
+        task = _quick_task(topology=topology, simulator="batched")
+        assert task.simulator == "batched"
+        assert fallback_reason(task) is None
+
+    def test_explicit_batched_hidden_task_with_activity_rejected(self):
+        with pytest.raises(ValueError, match="activity schedule"):
+            _quick_task(topology=TopologySpec.hidden_disc(4, 16.0, 1),
+                        activity=((0.0, 2), (0.1, 4)), simulator="batched")
 
     def test_validation(self):
         with pytest.raises(ValueError):

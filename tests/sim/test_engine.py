@@ -187,3 +187,28 @@ class TestHeapCompaction:
         scheduler.run_until(20_000)
         assert -1 not in fired
         assert len(fired) == floor
+
+    def test_compaction_inside_run_until_keeps_later_events(self):
+        """A callback that compacts the heap mid-run must not strand the
+        events run_until has still to pop, nor ones scheduled after it."""
+        scheduler = EventScheduler()
+        floor = EventScheduler.COMPACTION_FLOOR
+        fired = []
+        doomed = [scheduler.schedule_at(5_000 + i, fired.append, -1)
+                  for i in range(floor + 1)]
+
+        def cancel_all():
+            for event in doomed:
+                scheduler.cancel(event)
+
+        def fire_and_reschedule():
+            fired.append("live")
+            scheduler.schedule_in(5_000, fired.append, "rescheduled")
+
+        scheduler.schedule_at(1, cancel_all)
+        scheduler.schedule_at(10_000, fire_and_reschedule)
+        scheduler.run_until(20_000)
+        assert scheduler.heap_compactions == 1
+        assert fired == ["live", "rescheduled"]
+        assert scheduler.cancelled_events == 0
+        assert scheduler.pending_events == 0

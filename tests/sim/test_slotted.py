@@ -14,6 +14,7 @@ from repro.mac.schemes import (
     fixed_p_persistent_scheme,
     idlesense_scheme,
     standard_80211_scheme,
+    tora_csma_scheme,
     wtop_csma_scheme,
 )
 from repro.phy.constants import PhyParameters
@@ -264,6 +265,16 @@ class TestControllerIntegration:
         advertised = simulator.controller.control()["p"]
         for policy in simulator.policies:
             assert policy.base_probability == pytest.approx(advertised)
+
+    def test_station_policies_follow_advertised_reset(self, phy):
+        simulator = SlottedSimulator(
+            tora_csma_scheme(phy, update_period=0.02), num_stations=10, phy=phy, seed=1
+        )
+        simulator.run(duration=0.5)
+        advertised = simulator.controller.control()
+        for policy in simulator.policies:
+            assert policy.reset_probability == advertised["p0"]
+            assert policy.reset_stage == int(advertised["stage"])
 
     def test_idlesense_achieves_target_idle_slots(self, phy):
         result = run_slotted(idlesense_scheme(phy), num_stations=20,

@@ -3,28 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.phy.propagation import RangeBasedPropagation
-from repro.topology.graph import ConnectivityGraph, build_connectivity
+from repro.topology.graph import ConnectivityGraph
 from repro.topology.placement import explicit_placement, ring_placement
-
-
-def paper_model():
-    return RangeBasedPropagation(transmission_range=16.0, carrier_sense_range=24.0)
 
 
 class TestFullyConnectedDetection:
     def test_ring_radius_8_is_fully_connected(self):
-        graph = ConnectivityGraph(ring_placement(20, radius=8.0), paper_model())
+        graph = ConnectivityGraph(ring_placement(20, radius=8.0))
         assert graph.is_fully_connected()
         assert graph.hidden_pairs() == frozenset()
 
     def test_each_station_senses_everyone(self):
-        graph = ConnectivityGraph(ring_placement(10, radius=8.0), paper_model())
+        graph = ConnectivityGraph(ring_placement(10, radius=8.0))
         for station in range(10):
-            assert graph.sensing_set(station) == frozenset(range(10))
+            assert graph.sensing_sets()[station] == frozenset(range(10))
 
     def test_report_for_connected_network(self):
-        graph = ConnectivityGraph(ring_placement(10, radius=8.0), paper_model())
+        graph = ConnectivityGraph(ring_placement(10, radius=8.0))
         report = graph.hidden_node_report()
         assert report.is_fully_connected
         assert report.num_hidden_pairs == 0
@@ -37,7 +32,7 @@ class TestHiddenPairDetection:
         # origin, but 28 > 24 apart so they are hidden from each other.  A
         # third station at (0, 5) senses both.
         placement = explicit_placement([(-14, 0), (14, 0), (0, 5)])
-        return ConnectivityGraph(placement, paper_model())
+        return ConnectivityGraph(placement)
 
     def test_hidden_pair_found(self):
         graph = self.make_hidden_triangle()
@@ -45,16 +40,17 @@ class TestHiddenPairDetection:
         assert not graph.is_fully_connected()
 
     def test_sensing_sets_are_asymmetry_free(self):
-        graph = self.make_hidden_triangle()
-        assert 1 not in graph.sensing_set(0)
-        assert 0 not in graph.sensing_set(1)
-        assert graph.can_sense(0, 2) and graph.can_sense(2, 0)
-        assert graph.can_sense(1, 2) and graph.can_sense(2, 1)
+        sensing = self.make_hidden_triangle().sensing_sets()
+        assert 1 not in sensing[0]
+        assert 0 not in sensing[1]
+        assert 2 in sensing[0] and 0 in sensing[2]
+        assert 2 in sensing[1] and 1 in sensing[2]
 
     def test_hidden_peers(self):
-        graph = self.make_hidden_triangle()
-        assert graph.hidden_peers(0) == frozenset({1})
-        assert graph.hidden_peers(2) == frozenset()
+        pairs = self.make_hidden_triangle().hidden_pairs()
+        peers = [{j for pair in pairs if i in pair for j in pair if j != i}
+                 for i in range(3)]
+        assert peers == [{1}, {0}, set()]
 
     def test_report_counts(self):
         report = self.make_hidden_triangle().hidden_node_report()
@@ -63,9 +59,9 @@ class TestHiddenPairDetection:
         assert report.stations_with_hidden_peer == 2
         assert report.hidden_pair_fraction == pytest.approx(1 / 3)
 
-    def test_adjacency_matrix_symmetric_with_true_diagonal(self):
+    def test_sensing_matrix_symmetric_with_true_diagonal(self):
         graph = self.make_hidden_triangle()
-        matrix = graph.adjacency_matrix()
+        matrix = graph.sensing_matrix()
         assert matrix.shape == (3, 3)
         assert np.all(np.diag(matrix))
         assert np.array_equal(matrix, matrix.T)
@@ -76,64 +72,63 @@ class TestApCoverage:
     def test_station_outside_ap_range_rejected(self):
         placement = explicit_placement([(30, 0)])
         with pytest.raises(ValueError):
-            ConnectivityGraph(placement, paper_model())
+            ConnectivityGraph(placement)
 
-    def test_uncovered_station_allowed_when_not_required(self):
-        placement = explicit_placement([(30, 0)])
-        graph = ConnectivityGraph(placement, paper_model(), require_ap_coverage=False)
-        assert graph.uncovered_stations == (0,)
+    @pytest.mark.parametrize("radii, decode", [
+        ({}, 16.0),
+        ({"decode_range": 10.0}, 10.0),
+        ({"decode_range": 10.0, "sense_range": 15.0}, 10.0),
+    ])
+    def test_station_exactly_at_the_decode_range_is_covered(self, radii, decode):
+        ConnectivityGraph(explicit_placement([(decode, 0.0)]), **radii)
+        with pytest.raises(ValueError, match="outside the AP decode range"):
+            ConnectivityGraph(explicit_placement([(decode + 0.01, 0.0)]), **radii)
 
 
-class TestShadowing:
-    def test_shadowing_can_create_hidden_pair(self):
-        # Two stations 10 apart would normally sense each other; 40 dB of
-        # shadowing between them pushes the effective distance beyond the
-        # 24-unit sensing range.
-        placement = explicit_placement([(-5, 0), (5, 0)])
-        shadowing = np.array([[0.0, 40.0], [40.0, 0.0]])
-        graph = ConnectivityGraph(placement, paper_model(), shadowing_db=shadowing)
-        assert graph.hidden_pairs() == frozenset({(0, 1)})
+class TestRadii:
+    """Two stations sense each other within ``sense_range`` (24 by
+    default), which is at least the decode range (16 by default)."""
 
-    def test_zero_shadowing_matrix_is_no_op(self):
-        placement = explicit_placement([(-5, 0), (5, 0)])
-        graph = ConnectivityGraph(placement, paper_model(),
-                                  shadowing_db=np.zeros((2, 2)))
+    @pytest.mark.parametrize("radii, sense", [
+        ({}, 24.0),
+        ({"sense_range": 20.0}, 20.0),
+        ({"decode_range": 10.0, "sense_range": 15.0}, 15.0),
+    ])
+    def test_station_exactly_at_the_sense_range_is_sensed(self, radii, sense):
+        half = sense / 2.0
+        at_edge = ConnectivityGraph(
+            explicit_placement([(-half, 0.0), (half, 0.0)]), **radii)
+        assert at_edge.is_fully_connected()
+        assert at_edge.sensing_matrix().all()
+        beyond = ConnectivityGraph(
+            explicit_placement([(-half, 0.0), (half + 0.01, 0.0)]), **radii)
+        assert beyond.hidden_pairs() == frozenset({(0, 1)})
+
+    @pytest.mark.parametrize("decode_range, sense_range",
+                             [(20.0, 10.0), (16.0, 15.99)])
+    def test_sense_range_below_decode_range_rejected(self, decode_range,
+                                                     sense_range):
+        with pytest.raises(ValueError, match="sense_range"):
+            ConnectivityGraph(ring_placement(2, radius=8.0),
+                              decode_range=decode_range, sense_range=sense_range)
+
+    def test_stations_that_decode_each_other_also_sense_each_other(self):
+        """Sensing reaches at least as far as decoding."""
+        for gap in np.linspace(0.5, 16.0, 32):
+            graph = ConnectivityGraph(
+                explicit_placement([(-gap / 2, 0.0), (gap / 2, 0.0)]))
+            assert graph.is_fully_connected()
+
+    def test_equal_radii_accepted(self):
+        graph = ConnectivityGraph(ring_placement(2, radius=8.0),
+                                  decode_range=20.0, sense_range=20.0)
         assert graph.is_fully_connected()
 
-    def test_rejects_wrong_shape(self):
-        placement = explicit_placement([(-5, 0), (5, 0)])
-        with pytest.raises(ValueError):
-            ConnectivityGraph(placement, paper_model(), shadowing_db=np.zeros((3, 3)))
-
-    def test_rejects_asymmetric_matrix(self):
-        placement = explicit_placement([(-5, 0), (5, 0)])
-        shadowing = np.array([[0.0, 10.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            ConnectivityGraph(placement, paper_model(), shadowing_db=shadowing)
-
-
-class TestGraphViews:
-    def test_sensing_density_of_complete_graph(self):
-        graph = ConnectivityGraph(ring_placement(6, radius=8.0), paper_model())
-        assert graph.sensing_density() == pytest.approx(1.0)
-
-    def test_sensing_components_single_for_connected(self):
-        graph = ConnectivityGraph(ring_placement(6, radius=8.0), paper_model())
-        components = graph.sensing_components()
-        assert len(components) == 1
-        assert components[0] == set(range(6))
-
-    def test_build_connectivity_helper(self):
-        graph = build_connectivity(ring_placement(4, radius=8.0), paper_model())
-        assert isinstance(graph, ConnectivityGraph)
-        assert graph.num_stations == 4
-
-    def test_decode_graph_edges_subset_of_sensing_edges(self):
-        placement = explicit_placement([(-10, 0), (10, 0), (0, 5)])
-        graph = ConnectivityGraph(placement, paper_model())
-        decode_edges = set(graph.decode_graph.edges())
-        sensing_edges = set(graph.sensing_graph.edges())
-        assert decode_edges.issubset(sensing_edges)
+    @pytest.mark.parametrize("decode_range", [0.0, -1.0])
+    def test_non_positive_decode_range_rejected(self, decode_range):
+        with pytest.raises(ValueError, match="decode_range"):
+            ConnectivityGraph(ring_placement(2, radius=8.0),
+                              decode_range=decode_range)
 
 
 class TestConflictMatrixHelpers:
@@ -157,20 +152,13 @@ class TestConflictMatrixHelpers:
     def test_sensing_matrix_matches_sensing_sets(self):
         graph = self._random_hidden_graph()
         matrix = graph.sensing_matrix()
-        for i in range(graph.num_stations):
-            assert set(np.flatnonzero(matrix[i])) == set(graph.sensing_set(i))
+        for i, sensed in enumerate(graph.sensing_sets()):
+            assert set(np.flatnonzero(matrix[i])) == set(sensed)
 
-    def test_hidden_matrix_is_the_complement_off_the_diagonal(self):
+    def test_hidden_complement_agrees_with_hidden_pair_report(self):
         graph = self._random_hidden_graph()
-        sensing = graph.sensing_matrix()
-        hidden = graph.hidden_matrix()
-        assert not hidden.diagonal().any()
-        off_diag = ~np.eye(graph.num_stations, dtype=bool)
-        assert np.array_equal(hidden, ~sensing & off_diag)
-
-    def test_hidden_matrix_agrees_with_hidden_pair_report(self):
-        graph = self._random_hidden_graph()
-        hidden = graph.hidden_matrix()
+        off_diagonal = ~np.eye(graph.num_stations, dtype=bool)
+        hidden = ~graph.sensing_matrix() & off_diagonal
         report = graph.hidden_node_report()
         assert int(hidden.sum()) // 2 == report.num_hidden_pairs
         assert np.array_equal(hidden, hidden.T)
@@ -180,7 +168,6 @@ class TestConflictMatrixHelpers:
         assert with_peer == report.stations_with_hidden_peer
 
     def test_connected_topology_degenerates_to_all_ones(self):
-        graph = ConnectivityGraph(ring_placement(9, radius=8.0), paper_model())
+        graph = ConnectivityGraph(ring_placement(9, radius=8.0))
         assert graph.sensing_matrix().all()
-        assert not graph.hidden_matrix().any()
         assert graph.hidden_node_report().is_fully_connected

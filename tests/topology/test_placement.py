@@ -10,7 +10,6 @@ from repro.topology.placement import (
     Placement,
     clustered_placement,
     explicit_placement,
-    grid_placement,
     ring_placement,
     uniform_disc_placement,
 )
@@ -27,12 +26,13 @@ class TestRingPlacement:
 
     def test_max_pairwise_distance_is_diameter(self):
         placement = ring_placement(8, radius=8.0)
-        assert placement.max_pairwise_distance() == pytest.approx(16.0, rel=1e-6)
+        widest = max(placement.distance(i, j)
+                     for i in range(8) for j in range(i + 1, 8))
+        assert widest == pytest.approx(16.0, rel=1e-6)
 
     def test_single_station(self):
         placement = ring_placement(1, radius=5.0)
         assert placement.num_stations == 1
-        assert placement.max_pairwise_distance() == 0.0
 
     def test_phase_rotates_positions(self):
         a = ring_placement(4, radius=8.0, phase=0.0)
@@ -106,26 +106,6 @@ class TestClusteredPlacement:
             clustered_placement([(-1, 0)], [0], spread=0.5, rng=rng)
 
 
-class TestGridPlacement:
-    def test_grid_size(self):
-        assert grid_placement(3, 4, spacing=2.0).num_stations == 12
-
-    def test_grid_spacing(self):
-        placement = grid_placement(1, 3, spacing=5.0, center_on_ap=False)
-        assert placement.distance(0, 1) == pytest.approx(5.0)
-        assert placement.distance(0, 2) == pytest.approx(10.0)
-
-    def test_centering_on_ap(self):
-        placement = grid_placement(3, 3, spacing=2.0, center_on_ap=True)
-        assert placement.stations[4] == pytest.approx((0.0, 0.0))
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            grid_placement(0, 3, 1.0)
-        with pytest.raises(ValueError):
-            grid_placement(3, 3, 0.0)
-
-
 class TestExplicitPlacementAndHelpers:
     def test_explicit_positions_preserved(self):
         placement = explicit_placement([(1, 2), (3, 4)])
@@ -139,7 +119,3 @@ class TestExplicitPlacementAndHelpers:
     def test_distance_symmetry(self):
         placement = explicit_placement([(0, 0), (3, 4)])
         assert placement.distance(0, 1) == placement.distance(1, 0) == pytest.approx(5.0)
-
-    def test_as_array_shape(self):
-        placement = explicit_placement([(0, 0), (3, 4), (1, 1)])
-        assert placement.as_array().shape == (3, 2)

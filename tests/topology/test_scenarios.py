@@ -9,16 +9,39 @@ from repro.topology.scenarios import (
     HIDDEN_DISC_RADIUS_SMALL,
     fully_connected_scenario,
     hidden_node_scenario,
-    paper_propagation,
     two_cluster_hidden_scenario,
 )
 
 
-class TestPaperPropagation:
-    def test_ranges_match_paper(self):
-        model = paper_propagation()
-        assert model.decode_range == 16.0
-        assert model.sense_range == 24.0
+class TestPaperRadii:
+    @pytest.mark.parametrize("radius", [12.0, 16.0, 20.0])
+    def test_hidden_pairs_are_exactly_the_pairs_beyond_24(self, radius):
+        """The disc widens the decode range to its radius; sensing stays 24."""
+        graph = hidden_node_scenario(30, np.random.default_rng(3), radius=radius)
+        placement, n = graph.placement, graph.num_stations
+        beyond = {(i, j) for i in range(n) for j in range(i + 1, n)
+                  if placement.distance(i, j) > 24.0}
+        assert graph.hidden_pairs() == beyond
+        if radius > 16.0:  # some station needs the widened decode range
+            assert max(placement.distance_to_ap(i) for i in range(n)) > 16.0
+
+
+    @pytest.mark.parametrize("radius", [28.0, 32.0])
+    def test_disc_wider_than_24_widens_both_radii_to_its_own(self, radius):
+        """Decode ``max(16, radius)``, sense ``max(24, decode)``."""
+        graph = hidden_node_scenario(30, np.random.default_rng(3), radius=radius)
+        placement, n = graph.placement, graph.num_stations
+        beyond = {(i, j) for i in range(n) for j in range(i + 1, n)
+                  if placement.distance(i, j) > radius}
+        assert graph.hidden_pairs() == beyond
+        assert any(placement.distance(i, j) > 24.0
+                   for i in range(n) for j in range(i + 1, n))
+
+    @pytest.mark.parametrize("radius", [4.0, 8.0])
+    def test_disc_inside_the_paper_radii_keeps_them(self, radius):
+        """A disc of radius at most 12 has no pair beyond 24: connected."""
+        graph = hidden_node_scenario(30, np.random.default_rng(3), radius=radius)
+        assert graph.is_fully_connected()
 
 
 class TestFullyConnectedScenario:
@@ -50,7 +73,9 @@ class TestHiddenNodeScenario:
     def test_every_station_covered_by_ap(self):
         rng = np.random.default_rng(5)
         graph = hidden_node_scenario(20, rng, radius=16.0)
-        assert graph.uncovered_stations == ()
+        placement = graph.placement
+        assert all(placement.distance_to_ap(i) <= 16.0
+                   for i in range(graph.num_stations))
 
     def test_reproducible_given_seeded_rng(self):
         a = hidden_node_scenario(15, np.random.default_rng(9), radius=16.0)
@@ -69,9 +94,10 @@ class TestTwoClusterScenario:
 
     def test_intra_cluster_pairs_sense_each_other(self):
         graph = two_cluster_hidden_scenario(3, separation=28.0, spread=0.5)
+        sensing = graph.sensing_sets()
         for i in range(3):
             for j in range(3):
-                assert graph.can_sense(i, j)
+                assert j in sensing[i]
 
     def test_rejects_empty_clusters(self):
         with pytest.raises(ValueError):

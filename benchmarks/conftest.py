@@ -31,11 +31,13 @@ For paper-scale budgets use :data:`repro.experiments.PAPER` instead (hours).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
 import time
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 
@@ -84,6 +86,63 @@ BENCH_HIDDEN = ExperimentConfig(
 )
 
 
+@dataclass
+class Overhead:
+    """What :func:`measure_overhead` measured, in seconds."""
+
+    disabled_s: float      # best wall clock of the disabled runs
+    disabled_cpu_s: float  # best CPU time of the disabled runs
+    enabled_cpu_s: float   # best CPU time of the enabled runs
+
+    @property
+    def ratio(self) -> float:
+        return self.enabled_cpu_s / self.disabled_cpu_s
+
+    def record(self) -> dict:
+        """The fields a BENCH record's ``extra`` keeps."""
+        return {"disabled_s": round(self.disabled_s, 2),
+                "disabled_cpu_s": round(self.disabled_cpu_s, 2),
+                "enabled_cpu_s": round(self.enabled_cpu_s, 2),
+                "enabled_ratio": round(self.ratio, 3)}
+
+    def __str__(self) -> str:
+        return (f"best CPU time disabled {self.disabled_cpu_s:.2f}s, enabled "
+                f"{self.enabled_cpu_s:.2f}s ({self.ratio:.2f}x)")
+
+
+def measure_overhead(benchmark, run, disabled, enabled, rounds=3):
+    """Time ``run(enabled)`` against ``run(disabled)``.
+
+    After a warm-up run (imports, allocator, CPU governor), ``rounds``
+    disabled runs alternate with ``rounds`` enabled runs, and the timed
+    ``benchmark.pedantic`` run is one more disabled run.  Each side's time
+    is its best CPU time (``time.process_time``): campaigns at ``jobs=1``
+    run every cell in this process, so that counts all of the work.  The
+    best wall clock of the disabled runs is kept for ``cells_per_s``.
+
+    Returns the result of the last untimed disabled run, that of the last
+    enabled run, and the :class:`Overhead`.
+    """
+
+    def timed(arg):
+        started, cpu_started = time.perf_counter(), time.process_time()
+        result = run(arg)
+        return (result, time.perf_counter() - started,
+                time.process_time() - cpu_started)
+
+    timed(disabled)
+    wall = disabled_cpu = enabled_cpu = float("inf")
+    for _ in range(rounds):
+        reference, elapsed, cpu = timed(disabled)
+        wall, disabled_cpu = min(wall, elapsed), min(disabled_cpu, cpu)
+        result, _, cpu = timed(enabled)
+        enabled_cpu = min(enabled_cpu, cpu)
+    _, elapsed, cpu = benchmark.pedantic(timed, args=(disabled,), rounds=1,
+                                         iterations=1)
+    wall, disabled_cpu = min(wall, elapsed), min(disabled_cpu, cpu)
+    return reference, result, Overhead(wall, disabled_cpu, enabled_cpu)
+
+
 @pytest.fixture(scope="session")
 def bench_config_connected() -> ExperimentConfig:
     return BENCH_CONNECTED
@@ -92,6 +151,12 @@ def bench_config_connected() -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def bench_config_hidden() -> ExperimentConfig:
     return BENCH_HIDDEN
+
+
+@pytest.fixture
+def overhead(benchmark):
+    """:func:`measure_overhead` with this test's ``benchmark`` fixture."""
+    return functools.partial(measure_overhead, benchmark)
 
 
 @pytest.fixture(scope="session")

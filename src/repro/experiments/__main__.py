@@ -16,9 +16,10 @@ tables and optionally written to ``<output>/<experiment>.txt``.
 Simulation cells are executed through a shared
 :class:`~repro.experiments.campaign.CampaignExecutor`: ``--jobs`` fans them
 out over worker processes (bit-identical to serial execution), and
-``--cache-dir`` persists every completed cell so interrupted or repeated
-invocations only simulate what is missing.  ``--progress`` streams one line
-per completed cell to stderr (with a rolling cells/s rate and ETA).
+``--cache-dir`` persists every completed cell the moment it finishes, so
+interrupted, killed or repeated invocations with the same directory only
+simulate what is missing.  ``--progress`` streams one line per completed
+cell to stderr (with a rolling cells/s rate and ETA).
 
 Observability: ``--trace FILE.jsonl`` streams telemetry records (phase
 spans, per-cell task records, simulator loop counters) to a JSONL file;
@@ -133,11 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir", type=pathlib.Path, default=None, metavar="DIR",
         help="cache completed simulation cells as JSON under DIR and reuse "
-             "them on later runs",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore the result cache even if --cache-dir is set",
+             "them on later runs; a killed or interrupted campaign re-run "
+             "with the same DIR resumes with bit-identical results",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -164,17 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run cProfile around every unit of simulation work (inside the "
              "worker processes under --jobs) and print an aggregated top-20 "
              "hotspot table at the end",
-    )
-    parser.add_argument(
-        "--journal", type=pathlib.Path, default=None, metavar="FILE.jsonl",
-        help="durably append every completed simulation cell to FILE "
-             "(fsync'd JSONL); combine with --resume to skip the recorded "
-             "cells after a crash or Ctrl-C, with bit-identical results",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="replay completed cells from the --journal file instead of "
-             "overwriting it (requires --journal)",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -275,8 +262,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if (args.cache_dir is not None and args.cache_dir.exists()
             and not args.cache_dir.is_dir()):
         parser.error(f"--cache-dir: '{args.cache_dir}' exists and is not a directory")
-    if args.resume and args.journal is None:
-        parser.error("--resume requires --journal FILE.jsonl")
     if args.task_timeout is not None and (
             not math.isfinite(args.task_timeout) or args.task_timeout <= 0):
         parser.error(
@@ -326,7 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     executor = CampaignExecutor(
         jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
+        cache_dir=args.cache_dir,
         progress=stderr_progress if args.progress else None,
         backend=args.backend,
         telemetry=telemetry,
@@ -334,8 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         task_timeout_s=args.task_timeout,
         task_retries=args.task_retries,
         retry_backoff_s=args.retry_backoff,
-        journal=args.journal,
-        resume=args.resume,
         probe=(ProbeConfig(args.probe_interval)
                if args.probe_interval is not None else None),
     )
@@ -352,14 +335,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 (args.output / f"{name}.txt").write_text(text + "\n",
                                                          encoding="utf-8")
     except KeyboardInterrupt:
-        # The executor has already drained in-flight work and flushed the
-        # journal; report the partial state and exit nonzero (130 = SIGINT)
-        # instead of dumping a pool traceback.
+        # The executor has already drained in-flight work into the cache;
+        # report the partial state and exit nonzero (130 = SIGINT) instead
+        # of dumping a pool traceback.
         interrupted = True
         print("\n[campaign] interrupted by user (Ctrl-C); partial results "
               "reported above", file=sys.stderr, flush=True)
     finally:
-        executor.close()
         if writer is not None:
             writer.close()
             print(f"[trace: {writer.count} record(s) written to {args.trace}; "
@@ -374,10 +356,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if executor.stats.total:
         print(f"[campaign: {executor.stats.summary()}, jobs={executor.jobs}, "
               f"backend={executor.backend}]")
-    if args.journal is not None and executor.journal is not None:
-        print(f"[journal: {len(executor.journal)} completed cell(s) recorded "
-              f"in {args.journal}; resume with --journal {args.journal} "
-              f"--resume]")
     if interrupted:
         return 130
     if executor.stats.failures:

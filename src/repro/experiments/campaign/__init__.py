@@ -14,7 +14,8 @@ infrastructure:
   serial ones;
 * :mod:`~repro.experiments.campaign.cache` — an on-disk JSON
   :class:`ResultCache` keyed by stable task hashes, so re-running a campaign
-  only simulates the cells that changed.
+  only simulates the cells that changed, and a killed or interrupted one
+  resumes where it stopped.
 
 Typical use::
 
@@ -58,7 +59,6 @@ from .executor import (
     execute_task,
     stderr_progress,
 )
-from .journal import JOURNAL_SCHEMA_VERSION, CampaignJournal
 from .specs import (
     CACHE_VERSION,
     SCHEME_SPEC_KINDS,
@@ -73,7 +73,6 @@ __all__ = [
     "ArrivalProcess",
     "BACKENDS",
     "CACHE_VERSION",
-    "JOURNAL_SCHEMA_VERSION",
     "RESULT_SCHEMA_VERSION",
     "SCHEME_SPEC_KINDS",
     "batch_key",
@@ -84,7 +83,6 @@ __all__ = [
     "topology_fingerprint",
     "CampaignEvent",
     "CampaignExecutor",
-    "CampaignJournal",
     "CampaignStats",
     "FailedTask",
     "ResultCache",

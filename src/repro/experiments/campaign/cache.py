@@ -8,6 +8,13 @@ emits shortest round-trip float representations, a result loaded from the
 cache is bit-identical to the freshly computed one, so cached and simulated
 cells can be mixed freely inside one campaign.
 
+Each entry is written to a temporary file, flushed and ``fsync``'d, then
+renamed into place, so an entry that exists is complete.  The directory is
+not fsync'd, so after a machine crash a recent entry may be missing; its
+cell is then simulated again.  The cache is the campaign's checkpoint: a
+killed campaign re-run with the same directory simulates only the cells
+that have no entry yet.
+
 Corrupt or version-mismatched entries are treated as misses (and re-run),
 never as errors: a cache must not be able to break a campaign.  Corrupt
 files (unparseable JSON, malformed result payloads) are additionally
@@ -134,10 +141,6 @@ class ResultCache:
         self.corrupt_entries = 0
         self._warned_corrupt = False
 
-    @property
-    def root(self) -> pathlib.Path:
-        return self._root
-
     def path_for(self, key: str) -> pathlib.Path:
         return self._root / f"{key}.json"
 
@@ -203,13 +206,17 @@ class ResultCache:
         path = self.path_for(key)
         # Atomic replace so a crashed/parallel writer never leaves a torn
         # file behind (concurrent writers of the same key write identical
-        # content, so last-write-wins is safe).
+        # content, so last-write-wins is safe).  The fsync before the rename
+        # means a machine-level crash cannot leave a renamed but empty
+        # entry; it can lose a recent rename, which costs a re-simulation.
         fd, tmp_name = tempfile.mkstemp(
             dir=self._root, prefix=f".{key[:12]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -225,14 +232,3 @@ class ResultCache:
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        for path in self._root.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

@@ -11,9 +11,8 @@ task lists to.  It resolves each ``auto`` task to a concrete backend
 (``batched`` for eligible tasks under the default ``backend="auto"`` policy
 — connected *and* hidden-node topologies both have vectorized kernels —
 scalar ``slotted``/``event`` otherwise),
-deduplicates identical tasks, satisfies what it can from a
-:class:`~repro.experiments.campaign.journal.CampaignJournal` checkpoint and
-the :class:`~repro.experiments.campaign.cache.ResultCache`, groups batched
+deduplicates identical tasks, satisfies what it can from the
+:class:`~repro.experiments.campaign.cache.ResultCache`, groups batched
 misses into vectorized calls (:mod:`~repro.experiments.campaign.batching`),
 fans the remaining work out over a ``ProcessPoolExecutor`` (``jobs > 1``,
 or any ``jobs`` with a task timeout) or an in-process pool (``jobs == 1``),
@@ -46,8 +45,9 @@ process, so a timed campaign always runs on a process pool, one worker for
   still exhausts its retries gets one last attempt on the scalar backend
   (:meth:`RunTask.scalar_equivalent`), surfaced through the same
   fallback-reason machinery as planner fallbacks;
-* with a journal configured, every completed cell is durably checkpointed
-  the moment it finishes, so a killed campaign resumes where it stopped.
+* with a cache configured, every completed cell is stored the moment it
+  finishes, so a killed campaign re-run with the same cache resumes where
+  it stopped.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ from .batching import (
     plan_batches,
 )
 from .cache import ResultCache
-from .journal import CampaignJournal
 from .specs import RunTask
 
 __all__ = [
@@ -363,8 +362,6 @@ class CampaignStats:
     executed: int = 0
     cached: int = 0
     deduplicated: int = 0
-    #: Cells served from the resume journal without re-execution.
-    journaled: int = 0
     #: Cells (not groups) that executed on the batched backend.
     batched_cells: int = 0
     #: Unique ``auto`` hidden-node cells that fell back from the
@@ -391,7 +388,6 @@ class CampaignStats:
         self.executed += other.executed
         self.cached += other.cached
         self.deduplicated += other.deduplicated
-        self.journaled += other.journaled
         self.batched_cells += other.batched_cells
         self.fallbacks += other.fallbacks
         self.retries += other.retries
@@ -408,8 +404,6 @@ class CampaignStats:
             f"({self.batched_cells} batched), {self.cached} from cache, "
             f"{self.deduplicated} deduplicated"
         )
-        if self.journaled:
-            text += f", {self.journaled} from journal"
         if self.fallbacks:
             text += f", {self.fallbacks} scalar fallback(s)"
         if self.retries:
@@ -437,7 +431,7 @@ class CampaignEvent:
     total: int
     label: str
     key: str
-    source: str  # "run", "cache", "journal" or "failed"
+    source: str  # "run", "cache" or "failed"
     elapsed_s: float
     #: Simulator backend that produced (or would produce) the cell.
     backend: str = "?"
@@ -554,25 +548,28 @@ class _CampaignRun:
 
     # -- serve ----------------------------------------------------------
     def serve(self) -> List[str]:
-        """Serve journaled cells (a resumed campaign skips them), then
-        cache hits; return the misses, which alone need executing."""
-        journal, cache = self.ex._journal, self.ex._cache
+        """Serve cache hits (a re-run campaign skips the cells it stored
+        before); return the misses, which alone need executing."""
+        cache = self.ex._cache
         pending = list(self.cells)
-        # ``completed`` counts the cells served so far.
-        if journal is not None:
-            with self.tel.span("journal-lookup",
-                               candidates=len(pending)) as journal_args:
-                pending = self._serve_from("journal", journal.lookup, pending)
-                self.stats.journaled = journal_args["hits"] = self.completed
         corrupt_before = cache.corrupt_entries if cache is not None else 0
-        served = self.completed
         # The cache reports corrupt-entry counters through the ambient
         # telemetry session; install ours so they land in this trace.
         with self.tel.span("cache-lookup", candidates=len(pending)) as args, \
                 telemetry_session(self.tel if self.tel.enabled else None):
             if cache is not None:
-                pending = self._serve_from("cache", cache.load, pending)
-            self.stats.cached = args["hits"] = self.completed - served
+                misses = []
+                for key in pending:
+                    hit = cache.load(key)
+                    if hit is None:
+                        misses.append(key)
+                        continue
+                    self.resolved[key] = hit
+                    self._trace(key, "cache", self.cells[key])
+                    self._report(key, "cache")
+                pending = misses
+            # ``completed`` counts the cells served so far.
+            self.stats.cached = args["hits"] = self.completed
             args["misses"] = len(pending)
             if cache is not None:
                 self.stats.cache_corrupt = (cache.corrupt_entries
@@ -580,21 +577,6 @@ class _CampaignRun:
                 if self.stats.cache_corrupt:
                     args["corrupt"] = self.stats.cache_corrupt
         return pending
-
-    def _serve_from(self, source: str,
-                    lookup: Callable[[str], Optional[SimulationResult]],
-                    keys: List[str]) -> List[str]:
-        """Resolve every cell ``lookup`` holds; return the rest, in order."""
-        misses = []
-        for key in keys:
-            hit = lookup(key)
-            if hit is None:
-                misses.append(key)
-                continue
-            self.resolved[key] = hit
-            self._trace(key, source, self.cells[key])
-            self._report(key, source)
-        return misses
 
     # -- execute --------------------------------------------------------
     def execute(self, pending: List[str]) -> None:
@@ -804,7 +786,7 @@ class _CampaignRun:
 
     def _drain(self) -> None:
         """Ctrl-C: cancel queued work, give in-flight units a short grace
-        period to finish (their results are delivered and journaled), then
+        period to finish (their results are delivered and cached), then
         tear the pool down."""
         dropped = len(self.queue)
         self.queue.clear()
@@ -893,7 +875,7 @@ class _CampaignRun:
     def _deliver(self, unit: _WorkUnit, results: List[SimulationResult],
                  report: _UnitReport) -> None:
         """Book a finished unit: relay its worker records once, then store,
-        journal, trace and report each of its cells."""
+        trace and report each of its cells."""
         ex = self.ex
         if report.profile is not None:
             ex.profile_stats.append(report.profile)
@@ -903,7 +885,7 @@ class _CampaignRun:
             # ``key`` is the campaign's key for the cell; ``task`` is the
             # descriptor that actually executed (they differ only for a
             # scalar-degraded cell, whose result is cached under its own
-            # scalar key but resolved/journaled under the campaign key).
+            # scalar key but resolved under the campaign key).
             self.resolved[key] = result
             self.stats.executed += 1
             if task.resolved_simulator() == "batched":
@@ -911,13 +893,8 @@ class _CampaignRun:
             if ex._cache is not None:
                 path = ex._cache.store(task, result)
                 if ex._faults is not None:
-                    ex._faults.tear_after_write(
-                        "torn-cache", task.task_key(), task.label, path)
-            if ex._journal is not None:
-                ex._journal.record(key, result, label=task.label)
-                if ex._faults is not None:
-                    ex._faults.tear_after_write(
-                        "torn-journal", key, task.label, ex._journal.path)
+                    ex._faults.tear_after_write(task.task_key(), task.label,
+                                                path)
             self._trace(key, "run", task, unit, report)
             self._report(key, "run")
 
@@ -1008,7 +985,6 @@ class _CampaignRun:
                     ("quarantined", len(stats.failures)),
                     ("degraded_groups", stats.degraded_groups),
                     ("scalar_retries", stats.scalar_retries),
-                    ("journal_hits", stats.journaled),
                     ("cache_corrupt", stats.cache_corrupt),
                     ("interrupted", int(interrupted)),
                 )
@@ -1022,9 +998,9 @@ class _CampaignRun:
             print(
                 f"[campaign] interrupted: {self.completed}/{len(self.cells)} "
                 f"task(s) complete"
-                + (f"; progress journaled in {ex._journal.path} "
-                   f"(re-run with the same journal to resume)"
-                   if ex._journal is not None else ""),
+                + ("; finished cells are in the result cache (re-run with "
+                   "the same --cache-dir to resume)"
+                   if ex._cache is not None else ""),
                 file=sys.stderr, flush=True,
             )
 
@@ -1041,8 +1017,11 @@ class CampaignExecutor:
         its randomness from its own descriptor, results are bit-identical for
         every value of ``jobs``.
     cache_dir:
-        When given, completed cells are stored as JSON under this directory
-        and later campaigns skip any cell whose task hash is already present.
+        When given, each completed cell is stored as JSON under this
+        directory the moment it finishes (written atomically and fsync'd),
+        and later campaigns skip any cell whose task hash is already
+        present, so a killed or interrupted campaign re-run with the same
+        directory resumes with bit-identical results.
     progress:
         Optional callback receiving a :class:`CampaignEvent` per completed
         cell (see :func:`stderr_progress`).
@@ -1073,24 +1052,16 @@ class CampaignExecutor:
         Base of the exponential retry backoff: attempt *n* waits
         ``retry_backoff_s * 2**(n-1)`` scaled by a deterministic per-task
         jitter in ``[0.5, 1.5)``.
-    journal:
-        Path of a :class:`CampaignJournal` checkpoint file.  Every
-        completed cell is durably appended; cells already present are
-        served without re-execution (see ``resume``), making a killed
-        campaign resumable with bit-identical results.
-    resume:
-        When False, an existing journal at ``journal`` is overwritten
-        instead of replayed (default True: resume).
     faults:
         Test-only :class:`~repro.testing.faults.FaultPlan` injected into
-        every unit execution and after journal/cache writes.
+        every unit execution and after cache writes.
     probe:
         Optional :class:`~repro.telemetry.probes.ProbeConfig` installed
         around every executed unit (including in worker processes), making
         the simulators sample per-station controller state and emit
         ``probe`` records through ``telemetry``.  Like telemetry, probes
         never influence results and never enter task hashes or cache keys
-        — but note that cache/journal hits skip execution entirely, so
+        — but note that cache hits skip execution entirely, so
         previously cached cells produce no probe records.
     """
 
@@ -1105,8 +1076,6 @@ class CampaignExecutor:
         task_timeout_s: Optional[float] = None,
         task_retries: int = 2,
         retry_backoff_s: float = 0.1,
-        journal: Optional[os.PathLike] = None,
-        resume: bool = True,
         faults: Optional[FaultPlan] = None,
         probe: Optional[ProbeConfig] = None,
     ) -> None:
@@ -1131,10 +1100,6 @@ class CampaignExecutor:
         self._task_timeout_s = task_timeout_s
         self._task_retries = int(task_retries)
         self._retry_backoff_s = float(retry_backoff_s)
-        if journal is None or isinstance(journal, CampaignJournal):
-            self._journal = journal
-        else:
-            self._journal = CampaignJournal(journal, resume=resume)
         self._faults = faults
         self._probe = probe
         #: Picklable cProfile stats mappings, one per profiled unit of work,
@@ -1153,15 +1118,6 @@ class CampaignExecutor:
     @property
     def backend(self) -> str:
         return self._backend
-
-    @property
-    def journal(self) -> Optional[CampaignJournal]:
-        return self._journal
-
-    def close(self) -> None:
-        """Flush and close the journal (results remain resumable)."""
-        if self._journal is not None:
-            self._journal.close()
 
     def profile_report(self, limit: int = 20) -> Optional[str]:
         """Aggregated top-``limit`` hotspot table (``None`` without data)."""
@@ -1224,8 +1180,9 @@ class CampaignExecutor:
         Tasks that exhaust their retry budget are quarantined (named in
         ``last_run_stats.failures`` and reported on stderr) and their
         result positions are ``None`` — a partial campaign returns instead
-        of aborting.  A :class:`KeyboardInterrupt` drains in-flight work,
-        flushes the journal, prints the partial summary, then re-raises.
+        of aborting.  A :class:`KeyboardInterrupt` drains in-flight work
+        (its finished cells are cached), prints the partial summary, then
+        re-raises.
         """
         campaign = _CampaignRun(self, len(tasks))
         keys = campaign.plan(tasks)

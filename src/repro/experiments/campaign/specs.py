@@ -385,7 +385,7 @@ def fallback_reason(task: RunTask) -> Optional[str]:
     resolution stays deterministic and cache keys stable across campaigns
     that submit different task mixes.
     """
-    if not batchable_scheme(task.scheme.kind, dict(task.scheme.params)):
+    if not batchable_scheme(task.scheme.kind):
         return f"unbatchable scheme '{task.scheme.kind}'"
     if task.topology.kind != "connected" and task.activity is not None:
         return ("activity schedule (the conflict-matrix backend models "

@@ -32,11 +32,13 @@ to know about its kind:
 * ``banks`` — builds the (policy bank, controller bank) pair the batched
   kernels run (:mod:`repro.mac.batched`, :mod:`repro.core.batched`), with
   per-cell or per-station channel observations as the kernel asks; ``None``
-  when no kernel models the kind;
-* ``controller`` — the scalar AP controller class when the kind also
-  takes that controller's further keywords (gain schedule, mapping, ...).
-  The banks honour only the declared parameters, so a parameter set with
-  any other keyword runs on the scalar simulators.
+  when no kernel models the kind.
+
+A kind takes its declared parameters and nothing else, so every parameter
+reaches both builders.  The controllers' further keywords (a control
+mapping, a gain schedule, the first iteration, the throughput scale) have
+no declared counterpart and keep their defaults: code that needs another
+value builds its controller directly.
 
 The campaign's ``SchemeSpec`` (kind plus parameters), the batched kernels'
 ``make_batched_system`` and the batching planner's eligibility check all
@@ -48,7 +50,6 @@ The named factories below (``wtop_csma_scheme`` and so on) build a scalar
 from __future__ import annotations
 
 from dataclasses import dataclass
-from inspect import signature
 from types import SimpleNamespace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -144,9 +145,8 @@ class SchemeKind:
 
     The module docstring says what each field holds.  Both builders get the
     declared parameters, defaults filled in, as the attributes of ``a``:
-    ``scalar(phy, a, extra)`` returns the (policy factory, controller
-    factory) pair of a :class:`Scheme`, ``extra`` holding the further
-    controller keywords; ``banks(phy, a, num_cells, max_stations,
+    ``scalar(phy, a)`` returns the (policy factory, controller factory) pair
+    of a :class:`Scheme`; ``banks(phy, a, num_cells, max_stations,
     per_station)`` returns the (policy bank, controller bank) pair.
     """
 
@@ -156,17 +156,14 @@ class SchemeKind:
     defaults: Mapping[str, object]
     scalar: Callable
     banks: Optional[Callable] = None
-    controller: Optional[type] = None
 
-    def resolve(self, params: Mapping[str, object]):
-        """The declared parameters with defaults filled in, and the rest.
+    def resolve(self, params: Mapping[str, object]) -> SimpleNamespace:
+        """The declared parameters, with defaults filled in.
 
-        ``TypeError`` names a parameter that is neither declared nor taken
-        by :attr:`controller`, or a :data:`REQUIRED` one left out.
+        ``TypeError`` names a parameter the kind does not declare, or a
+        :data:`REQUIRED` one left out.
         """
-        extra = {k: v for k, v in params.items() if k not in self.defaults}
-        taken = signature(self.controller).parameters if self.controller else ()
-        unknown = sorted(set(extra).difference(taken))
+        unknown = sorted(set(params).difference(self.defaults))
         if unknown:
             raise TypeError(f"scheme kind '{self.kind}' takes no "
                             f"parameter(s) {unknown}")
@@ -175,27 +172,28 @@ class SchemeKind:
         if missing:
             raise TypeError(f"scheme kind '{self.kind}' needs parameter(s) "
                             f"{missing}")
-        return SimpleNamespace(**args), extra
+        return SimpleNamespace(**args)
 
     def scheme(self, phy: Optional[PhyParameters] = None, **params) -> Scheme:
         """The scalar :class:`Scheme` for these parameters."""
-        args, extra = self.resolve(params)
-        policy, controller = self.scalar(phy or PhyParameters(), args, extra)
+        args = self.resolve(params)
+        policy, controller = self.scalar(phy or PhyParameters(), args)
         return Scheme(self.name.format(**vars(args)), policy, controller,
                       self.adaptive)
 
-    def batchable(self, params: Mapping[str, object]) -> bool:
-        """Whether the batched banks model these parameters."""
-        return self.banks is not None and set(params) <= set(self.defaults)
+    @property
+    def batchable(self) -> bool:
+        """Whether a batched kernel models the kind."""
+        return self.banks is not None
 
     def batched(self, params: Mapping[str, object], num_cells: int,
                 max_stations: int, phy: PhyParameters,
                 per_station: bool = False):
         """(policy bank, controller bank, display name) for a batch."""
-        if not self.batchable(params):
-            raise ValueError(f"scheme kind '{self.kind}' with params "
-                             f"{sorted(params)} has no batched kernel")
-        args, _ = self.resolve(params)
+        if not self.batchable:
+            raise ValueError(f"scheme kind '{self.kind}' has no batched "
+                             f"kernel")
+        args = self.resolve(params)
         policy, controller = self.banks(phy, args, num_cells, max_stations,
                                         per_station)
         return policy, controller, self.name.format(**vars(args))
@@ -207,7 +205,7 @@ def _weight_for(weights: Optional[Sequence[float]], station: int) -> float:
     return float(weights[station])
 
 
-def _dcf(phy, a, extra):
+def _dcf(phy, a):
     return (lambda station: StandardExponentialBackoff(phy)), StaticController
 
 
@@ -215,7 +213,7 @@ def _dcf_banks(phy, a, cells, stations, per_station):
     return BatchedDcfBank(phy, cells, stations), BatchedStaticBank()
 
 
-def _idlesense(phy, a, extra):
+def _idlesense(phy, a):
     return (lambda station: IdleSenseBackoff(
         phy, target_idle_slots=a.target_idle_slots)), StaticController
 
@@ -230,13 +228,13 @@ def _idlesense_banks(phy, a, cells, stations, per_station):
     return bank, BatchedStaticBank()
 
 
-def _wtop(phy, a, extra):
+def _wtop(phy, a):
     return (
         lambda station: PPersistentBackoff(
             p=a.initial_station_p, weight=_weight_for(a.weights, station)),
         lambda: WTopCsmaController(
             update_period=a.update_period, initial_control=a.initial_control,
-            initial_p=a.initial_p, **extra),
+            initial_p=a.initial_p),
     )
 
 
@@ -252,7 +250,7 @@ def _wtop_banks(phy, a, cells, stations, per_station):
     return bank, controller
 
 
-def _tora(phy, a, extra):
+def _tora(phy, a):
     # Stations start with reset probability 1 at the initial stage and
     # adopt the advertised (p0, j) from the first ACK on.
     return (
@@ -261,7 +259,7 @@ def _tora(phy, a, extra):
         lambda: ToraCsmaController(
             phy=phy, update_period=a.update_period, initial_p0=a.initial_p0,
             initial_stage=a.initial_stage, low_threshold=a.low_threshold,
-            high_threshold=a.high_threshold, **extra),
+            high_threshold=a.high_threshold),
     )
 
 
@@ -279,12 +277,12 @@ def _tora_banks(phy, a, cells, stations, per_station):
     return bank, controller
 
 
-def _n_estimating(phy, a, extra):
+def _n_estimating(phy, a):
     return (lambda station: NEstimatingPersistentBackoff(
         phy, initial_estimate=a.initial_estimate)), StaticController
 
 
-def _fixed_p(phy, a, extra):
+def _fixed_p(phy, a):
     return (lambda station: PPersistentBackoff(
         p=a.p, weight=_weight_for(a.weights, station))), StaticController
 
@@ -295,7 +293,7 @@ def _fixed_p_banks(phy, a, cells, stations, per_station):
     return bank, BatchedStaticBank()
 
 
-def _fixed_randomreset(phy, a, extra):
+def _fixed_randomreset(phy, a):
     return (lambda station: RandomResetBackoff(
         phy, stage=a.stage, reset_probability=a.p0)), StaticController
 
@@ -316,12 +314,12 @@ _DECLARATIONS = (
     SchemeKind("wtop-csma", "wTOP-CSMA", True,
                {"update_period": DEFAULT_UPDATE_PERIOD, "initial_control": 0.5,
                 "initial_station_p": 0.1, "initial_p": None, "weights": None},
-               _wtop, _wtop_banks, controller=WTopCsmaController),
+               _wtop, _wtop_banks),
     SchemeKind("tora-csma", "TORA-CSMA", True,
                {"update_period": DEFAULT_UPDATE_PERIOD, "initial_p0": 0.5,
                 "initial_stage": 0, "low_threshold": DEFAULT_LOW_THRESHOLD,
                 "high_threshold": DEFAULT_HIGH_THRESHOLD},
-               _tora, _tora_banks, controller=ToraCsmaController),
+               _tora, _tora_banks),
     SchemeKind("n-estimating", "N-estimating p-persistent", True,
                {"initial_estimate": 10.0}, _n_estimating),
     SchemeKind("fixed-p", "p-persistent(p={p:g})", False,

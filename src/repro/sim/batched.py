@@ -51,9 +51,9 @@ Schemes
 Both kernels take a scheme as a kind and its parameters, the vocabulary
 of :class:`~repro.experiments.campaign.SchemeSpec`.  The kind's one
 declaration in :data:`repro.mac.schemes.SCHEME_KINDS` builds the policy
-and controller banks (:func:`make_batched_system`) and says which
-parameter sets the banks model (:func:`batchable_scheme`); there is no
-second list of kinds, names or defaults here.
+and controller banks (:func:`make_batched_system`) and says whether the
+banks model the kind (:func:`batchable_scheme`); there is no second list
+of kinds, names or defaults here.
 
 Cost per iteration
 ------------------
@@ -265,13 +265,15 @@ class BatchedSlottedSimulator(CellBatch):
         tx_mask = np.empty((num_cells, max_n), dtype=bool)
         tx_mask_f = tx_mask.reshape(-1)
 
-        # Loop-level telemetry: counters are plain ints accumulated behind a
+        # Loop-level telemetry: counters are plain ints (the idle slots a
+        # per-cell array, summed once after the loop) accumulated behind a
         # hoisted enabled flag (one branch per iteration when disabled) and
         # never touch the random streams, so results are bit-identical with
         # telemetry on or off.
         tel = _telemetry()
         tel_on = tel.enabled
-        t_iterations = t_idle_ffwd = t_slots = t_busy = 0
+        t_iterations = t_idle_ffwd = t_busy = 0
+        t_slots = np.zeros(num_cells, dtype=np.int64) if tel_on else None
 
         # Probe boundaries are sampled retroactively after each time advance
         # and never enter the fast-forward bound, so the trajectory is
@@ -413,7 +415,7 @@ class BatchedSlottedSimulator(CellBatch):
                 now += advance * sigma
                 if tel_on:
                     t_idle_ffwd += 1
-                    t_slots += int(advance.sum())
+                    np.add(t_slots, advance, out=t_slots)
                 if probes is not None:
                     probe_drain()
                 if observes:
@@ -475,7 +477,7 @@ class BatchedSlottedSimulator(CellBatch):
             num_tx = np.bincount(tx_cell, minlength=num_cells)
             single = num_tx == 1
             if tel_on:
-                t_busy += int(np.count_nonzero(tx))
+                t_busy += transmitting
             if fer_on and np.count_nonzero(single):
                 cells = single.nonzero()[0]
                 base = streams.claim(single.astype(np.int64))
@@ -547,8 +549,8 @@ class BatchedSlottedSimulator(CellBatch):
             tel.counters(self._scope, {
                 "loop_iterations": t_iterations,
                 "idle_fast_forwards": t_idle_ffwd,
-                "idle_slots_advanced": t_slots,
-                "busy_slots": t_busy,
+                "idle_slots_advanced": int(t_slots.sum()),
+                "busy_slots": int(t_busy),
                 "retry_discards": ledger.discards,
                 "cells": num_cells,
                 "max_stations": max_n,
@@ -563,10 +565,10 @@ BATCHABLE_SCHEME_KINDS = tuple(sorted(
     kind for kind, declared in SCHEME_KINDS.items() if declared.banks))
 
 
-def batchable_scheme(kind: str, params: Dict[str, object]) -> bool:
-    """Whether ``kind`` with these spec parameters has a batched kernel."""
+def batchable_scheme(kind: str) -> bool:
+    """Whether a batched kernel models scheme kind ``kind``."""
     declared = SCHEME_KINDS.get(kind)
-    return declared is not None and declared.batchable(params)
+    return declared is not None and declared.batchable
 
 
 def make_batched_system(

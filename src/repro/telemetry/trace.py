@@ -58,8 +58,10 @@ _COMPATIBLE_SCHEMAS = (1, TRACE_SCHEMA_VERSION)
 RECORD_TYPES = ("meta", "span", "task", "counters", "probe", "profile")
 
 #: How a campaign cell was satisfied: executed, served from the result
-#: cache, replayed from a resume journal, or quarantined after exhausting
-#: its retry budget (a ``failed`` record carries ``failure_reason``).
+#: cache, or quarantined after exhausting its retry budget (a ``failed``
+#: record carries ``failure_reason``).  ``journal`` marks a cell replayed
+#: from the campaign journal of older builds; nothing emits it any more,
+#: and it stays valid so that their traces still validate and render.
 _TASK_SOURCES = ("run", "cache", "journal", "failed")
 
 

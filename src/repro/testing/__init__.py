@@ -2,8 +2,8 @@
 
 :mod:`repro.testing.faults` is the deterministic fault-injection harness
 the campaign fault-tolerance suite drives: it can crash workers, hang
-them, raise exceptions mid-unit and tear journal/cache files at exactly
-chosen points, reproducibly across process boundaries.
+them, raise exceptions mid-unit and tear cache entries at exactly chosen
+points, reproducibly across process boundaries.
 """
 
 from .faults import FaultPlan, FaultRule, InjectedCrash, InjectedFault, tear_file

@@ -2,9 +2,9 @@
 
 The fault-tolerance test suite needs to reproduce the ugly failure modes of
 real campaigns — a worker segfaulting mid-batch, a cell hanging forever, a
-poisoned task raising on every attempt, a crash tearing the journal or
-cache file mid-write — *deterministically*, including across the process
-pool.  This module provides that:
+poisoned task raising on every attempt, a crash tearing a cache entry
+mid-write — *deterministically*, including across the process pool.  This
+module provides that:
 
 * :class:`FaultRule` selects tasks by ``task_key`` prefix and/or label
   substring, names the failure ``kind`` to inject, and bounds how many
@@ -13,7 +13,7 @@ pool.  This module provides that:
   directory.  Firing slots are claimed with ``O_CREAT | O_EXCL`` marker
   files, so "fire exactly twice" holds even when the matching task is
   retried in different worker processes;
-* :func:`tear_file` truncates a JSONL file halfway into its final record,
+* :func:`tear_file` truncates a file halfway into its final record,
   simulating a crash mid-write.
 
 Execution-side kinds (checked by the worker before a unit runs):
@@ -29,10 +29,10 @@ Execution-side kinds (checked by the worker before a unit runs):
     Raises :class:`InjectedFault` (an ordinary exception: retried, then
     quarantined).
 
-Parent-side kinds (checked after a journal/cache write):
+Parent-side kind (checked after a cache write):
 
-``torn-journal`` / ``torn-cache``
-    The just-written file is torn with :func:`tear_file`.
+``torn-cache``
+    The just-written cache entry is torn with :func:`tear_file`.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 
 #: Failure kinds injected in the executing process, before the unit runs.
 EXECUTE_KINDS = ("crash", "hang", "error")
-#: Failure kinds injected in the parent, after a journal/cache write.
-WRITE_KINDS = ("torn-journal", "torn-cache")
+#: Failure kinds injected in the parent, after a cache write.
+WRITE_KINDS = ("torn-cache",)
 
 
 class InjectedFault(RuntimeError):
@@ -161,13 +161,12 @@ class FaultPlan:
             raise InjectedFault(f"injected error for task {key[:12]}")
 
     # -- parent-side injection -----------------------------------------
-    def tear_after_write(self, kind: str, key: str, label: str,
+    def tear_after_write(self, key: str, label: str,
                          path: os.PathLike) -> bool:
-        """Tear ``path`` if a matching ``torn-*`` rule claims a slot."""
-        if kind not in WRITE_KINDS:
-            raise ValueError(f"kind must be one of {WRITE_KINDS}, got {kind!r}")
+        """Tear the cache entry ``path`` if a matching ``torn-cache`` rule
+        claims a slot."""
         for index, rule in enumerate(self.rules):
-            if rule.kind != kind:
+            if rule.kind not in WRITE_KINDS:
                 continue
             if rule.matches(key, label) and self._claim(index):
                 tear_file(path)

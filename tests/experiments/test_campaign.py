@@ -10,6 +10,7 @@ The load-bearing guarantees:
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.experiments.campaign import (
 from repro.experiments.campaign import executor as executor_module
 from repro.mac.schemes import REQUIRED, SCHEME_KINDS
 from repro.phy.constants import PhyParameters
+from repro.testing import FaultPlan, FaultRule
 
 #: A valid value for each parameter a scheme kind requires.
 _REQUIRED_VALUES = {"p": 0.1, "stage": 1, "p0": 0.5}
@@ -113,11 +115,24 @@ class TestSchemeSpec:
         with pytest.raises(TypeError, match="needs parameter"):
             SchemeSpec.make(kind, **given)
 
-    def test_controller_keywords_accepted_for_wtop_and_tora(self, phy):
-        spec = SchemeSpec.make("wtop-csma", initial_k=3)
-        assert spec.build(phy).make_controller() is not None
-        spec = SchemeSpec.make("tora-csma", throughput_scale=1e6)
-        assert spec.build(phy).make_controller() is not None
+    @pytest.mark.parametrize("kind", ["wtop-csma", "tora-csma"])
+    def test_controller_keywords_rejected_for_wtop_and_tora(self, kind):
+        """The controllers' own keywords are not scheme parameters."""
+        for params in ({"initial_k": 3}, {"throughput_scale": 1e6}):
+            with pytest.raises(TypeError, match="takes no parameter"):
+                SchemeSpec.make(kind, **params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("wtop-csma", {"mapping": "linear"}),
+        ("wtop-csma", {"schedule": "fast"}),
+        ("tora-csma", {"schedule": "fast"}),
+        ("tora-csma", {"phy": "x"}),
+    ])
+    def test_object_valued_controller_keywords_rejected(self, kind, params):
+        """A spec carries JSON values only, so a keyword that needs an
+        object fails when the spec is made, not in a quarantined cell."""
+        with pytest.raises(TypeError, match="takes no parameter"):
+            SchemeSpec.make(kind, **params)
 
 
 class TestTopologySpec:
@@ -537,6 +552,126 @@ class TestCampaignCache:
         executor = CampaignExecutor(jobs=1, cache_dir=tmp_path)
         executor.run([task])
         assert executor.last_run_stats.executed == 1
+
+    def test_store_fsyncs_the_entry_before_renaming_it(self, tmp_path,
+                                                      monkeypatch):
+        """An entry that exists is complete: the whole payload is fsync'd
+        in the temporary file before it is renamed into place."""
+        task = _quick_task()
+        result = execute_task(task)
+        cache = ResultCache(tmp_path)
+        entry = cache.path_for(task.task_key())
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size, entry.exists()))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert cache.store(task, result) == entry
+        size = entry.stat().st_size
+        assert size > 0
+        assert calls == [("fsync", size, False), ("replace", os.fspath(entry))]
+
+    def test_partial_cache_resumes_only_the_remainder(self, tmp_path):
+        """A campaign killed after storing one cell re-runs the other two."""
+        # Explicit simulator so task_key() here matches the executed key
+        # (the "auto" policy rewrites tasks, changing their hash).
+        tasks = [_quick_task(seed=s, simulator="slotted") for s in (1, 2, 3)]
+        reference = CampaignExecutor(jobs=1,
+                                     cache_dir=tmp_path / "ref").run(tasks)
+        ResultCache(tmp_path / "c").store(tasks[0], reference[0])
+        executor = CampaignExecutor(jobs=1, cache_dir=tmp_path / "c")
+        assert executor.run(tasks) == reference
+        assert executor.stats.cached == 1
+        assert executor.stats.executed == 2
+
+    def test_quarantined_cell_is_retried_by_a_rerun(self, tmp_path):
+        """A quarantined cell leaves no entry, so a re-run with the same
+        cache tries it again."""
+        task = _quick_task(label="poisoned", simulator="slotted")
+        faults = FaultPlan(
+            [FaultRule("error", label_contains="poisoned", times=3)],
+            state_dir=tmp_path / "faults")
+        first = CampaignExecutor(jobs=1, cache_dir=tmp_path / "c",
+                                 task_retries=0, retry_backoff_s=0.01,
+                                 faults=faults)
+        assert first.run([task]) == [None]
+        assert len(ResultCache(tmp_path / "c")) == 0
+        # The rule still has firings left, but the re-run gets a fresh
+        # retry budget and succeeds.
+        second = CampaignExecutor(jobs=1, cache_dir=tmp_path / "c",
+                                  task_retries=3, retry_backoff_s=0.01,
+                                  faults=faults)
+        [result] = second.run([task])
+        assert result is not None
+        assert second.stats.cached == 0
+        assert second.stats.executed == 1
+        assert len(ResultCache(tmp_path / "c")) == 1
+
+    def test_store_removes_its_temporary_file_when_the_rename_fails(
+            self, tmp_path, monkeypatch):
+        task = _quick_task()
+        result = execute_task(task)
+        cache = ResultCache(tmp_path)
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(task, result)
+        assert list(tmp_path.iterdir()) == []
+        assert task.task_key() not in cache
+
+    def test_orphan_temporary_file_is_neither_served_nor_counted(
+            self, tmp_path):
+        """A campaign killed between writing an entry's temporary file and
+        renaming it leaves a ``.tmp`` file: the cell counts as missing."""
+        task = _quick_task(simulator="slotted")
+        result = execute_task(task)
+        cache = ResultCache(tmp_path)
+        cache.store(task, result)
+        entry = cache.path_for(task.task_key())
+        orphan = tmp_path / f".{task.task_key()[:12]}-killed.tmp"
+        entry.rename(orphan)
+        assert len(cache) == 0
+        assert cache.load(task.task_key()) is None
+
+        executor = CampaignExecutor(jobs=1, cache_dir=tmp_path)
+        assert executor.run([task]) == [result]
+        assert executor.stats.executed == 1
+        assert executor.stats.cached == 0
+        assert len(cache) == 1
+        assert executor.stats.cache_corrupt == 0
+
+    def test_empty_entry_is_quarantined_and_resimulated(self, tmp_path):
+        """A zero-length entry (what a crash can leave of an entry renamed
+        without an fsync) is corrupt, never a result."""
+        task = _quick_task(simulator="slotted")
+        reference = execute_task(task)
+        cache = ResultCache(tmp_path)
+        entry = cache.path_for(task.task_key())
+        entry.write_bytes(b"")
+        executor = CampaignExecutor(jobs=1, cache_dir=tmp_path)
+        assert executor.run([task]) == [reference]
+        assert executor.stats.executed == 1
+        assert executor.stats.cache_corrupt == 1
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        assert ResultCache(tmp_path).load(task.task_key()) == reference
+
+    @pytest.mark.parametrize("removed", ["journal", "resume"])
+    def test_cache_dir_is_the_only_persistence_parameter(self, tmp_path,
+                                                         removed):
+        with pytest.raises(TypeError, match=removed):
+            CampaignExecutor(jobs=1, cache_dir=tmp_path,
+                             **{removed: tmp_path / "run.jsonl"})
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
         tasks = [_quick_task(seed=s) for s in (1, 2, 3, 4)]

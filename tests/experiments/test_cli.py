@@ -21,7 +21,6 @@ class TestParser:
         assert args.output is None
         assert args.jobs == 1
         assert args.cache_dir is None
-        assert args.no_cache is False
         assert args.progress is False
         assert args.backend == "auto"
         assert args.trace is None
@@ -42,12 +41,11 @@ class TestParser:
 
     def test_campaign_flags(self, tmp_path):
         args = build_parser().parse_args(
-            ["all", "--jobs", "8", "--cache-dir", str(tmp_path), "--no-cache"]
+            ["all", "--jobs", "8", "--cache-dir", str(tmp_path)]
         )
         assert args.experiments == ["all"]
         assert args.jobs == 8
         assert str(args.cache_dir) == str(tmp_path)
-        assert args.no_cache is True
 
 
 def _stub_runner(name):
@@ -113,23 +111,38 @@ class TestBackendFlag:
 
 
 class TestCacheFlags:
-    def test_no_cache_ignores_cache_dir(self, monkeypatch, tmp_path, capsys):
-        """A cell cached under --cache-dir is simulated again with --no-cache."""
+    def test_rerun_with_the_same_cache_dir_simulates_nothing(
+            self, monkeypatch, tmp_path, capsys):
+        """The cache is the checkpoint: a re-run with the same --cache-dir
+        serves every cell the first run finished."""
         task = RunTask(scheme=SchemeSpec.make("standard-802.11"),
                        topology=TopologySpec.connected(4), seed=1,
                        duration=0.2, warmup=0.05)
-        executed = []
+        stats = []
 
         def runner(config, executor=None):
             executor.run([task])
-            executed.append(executor.last_run_stats.executed)
+            stats.append((executor.last_run_stats.executed,
+                          executor.last_run_stats.cached))
             return _stub_runner("fig3")(config, executor=executor)
 
         monkeypatch.setitem(EXPERIMENT_REGISTRY, "fig3", runner)
         assert main(["fig3", "--cache-dir", str(tmp_path)]) == 0
         assert len(ResultCache(tmp_path)) == 1
-        assert main(["fig3", "--cache-dir", str(tmp_path), "--no-cache"]) == 0
-        assert executed == [1, 1]
+        capsys.readouterr()
+        assert main(["fig3", "--cache-dir", str(tmp_path)]) == 0
+        assert stats == [(1, 0), (0, 1)]
+        assert "1 from cache" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--journal", "run.jsonl"], ["--resume"], ["--no-cache"]],
+        ids=["journal", "resume", "no-cache"])
+    def test_removed_persistence_flags_are_rejected(self, flags, capsys):
+        """--cache-dir is the only persistence flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fig12"] + flags)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMain:

@@ -57,6 +57,12 @@ class TestFaultRule:
         with pytest.raises(ValueError, match="times"):
             FaultRule("error", times=0)
 
+    def test_kinds_are_execute_faults_and_torn_cache_writes(self):
+        for kind in ("crash", "hang", "error", "torn-cache"):
+            assert FaultRule(kind).kind == kind
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultRule("torn-journal")
+
     def test_matches_by_key_prefix_and_label(self):
         rule = FaultRule("error", key_prefix="ab", label_contains="beta")
         assert rule.matches("abcdef", "the beta cell")
@@ -301,6 +307,30 @@ class TestBatchedDegradation:
         [result] = executor.run([task])
         assert result == scalar_reference
 
+    def test_degraded_cell_runs_on_its_kernel_again_in_a_rerun(self,
+                                                               tmp_path):
+        """The scalar result of a degraded cell is cached under the scalar
+        twin's key only, so a re-run with the same cache tries the kernel
+        again instead of serving the oracle's result."""
+        task = _task(seed=7, label="victim", simulator="batched")
+        faults = FaultPlan(
+            [FaultRule("error", key_prefix=task.task_key()[:16], times=None)],
+            state_dir=tmp_path / "faults")
+        first = _executor(tmp_path, "c", task_retries=0, faults=faults)
+        [degraded] = first.run([task])
+        assert degraded.extra["simulator"] == "slotted"
+        cache = ResultCache(tmp_path / "c")
+        assert task.scalar_equivalent().task_key() in cache
+        assert task.task_key() not in cache
+
+        rerun = _executor(tmp_path, "c")
+        [result] = rerun.run([task])
+        assert result.extra["simulator"] == "batched"
+        assert rerun.stats.executed == 1
+        assert rerun.stats.cached == 0
+        assert rerun.stats.scalar_retries == 0
+        assert task.task_key() in cache
+
     def test_scalar_equivalent_targets_the_right_simulator(self):
         connected = _task(seed=1)
         assert connected.scalar_equivalent().resolved_simulator() == "slotted"
@@ -380,8 +410,9 @@ class TestCorruptCacheQuarantine:
 
 class TestGracefulInterrupt:
     def test_serial_interrupt_reports_partial_results(self, tmp_path, capsys):
-        """Ctrl-C mid-campaign: stats survive, journal keeps finished cells,
-        and the KeyboardInterrupt propagates for the CLI to turn into 130."""
+        """Ctrl-C mid-campaign: stats survive, the cache keeps finished
+        cells, and the KeyboardInterrupt propagates for the CLI to turn into
+        130."""
         calls = []
 
         def interrupt_after_first(event):
@@ -389,25 +420,21 @@ class TestGracefulInterrupt:
             if len(calls) == 1:
                 raise KeyboardInterrupt
 
-        journal_path = tmp_path / "run.jsonl"
-        executor = CampaignExecutor(jobs=1, cache_dir=tmp_path / "c",
-                                    journal=journal_path,
+        cache_dir = tmp_path / "c"
+        executor = CampaignExecutor(jobs=1, cache_dir=cache_dir,
                                     progress=interrupt_after_first)
         tasks = [_task(seed=s) for s in (1, 2, 3)]
         with pytest.raises(KeyboardInterrupt):
             executor.run(tasks)
-        executor.close()
         assert executor.stats.executed == 1
-        assert "interrupted" in capsys.readouterr().err
-        # The journal holds the completed cell and resumes cleanly.
-        resumed = CampaignExecutor(jobs=1, cache_dir=tmp_path / "c2",
-                                   journal=journal_path)
-        try:
-            results = resumed.run(tasks)
-        finally:
-            resumed.close()
+        err = capsys.readouterr().err
+        assert "interrupted" in err and "--cache-dir" in err
+        # The cache holds the completed cell; a re-run resumes from it.
+        resumed = CampaignExecutor(jobs=1, cache_dir=cache_dir)
+        results = resumed.run(tasks)
         assert all(r is not None for r in results)
-        assert resumed.stats.journaled == 1
+        assert resumed.stats.cached == 1
+        assert resumed.stats.executed == 2
 
 
 BACKEND_GRIDS = {

@@ -3,11 +3,12 @@
 These tests drive ``python -m repro.experiments`` as a genuine subprocess:
 SIGKILL models a machine-level failure (OOM killer, power loss), SIGINT a
 user's Ctrl-C.  The acceptance criterion is byte-identical output files
-after resuming from the journal.
+after a re-run with the killed campaign's own ``--cache-dir``.
 """
 
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -36,22 +37,23 @@ def _popen(args, cwd):
     )
 
 
-def _wait_for_journal(path, min_lines, process, timeout_s=120.0):
-    """Block until the journal holds ``min_lines`` complete lines."""
+def _entries(cache_dir):
+    """How many result entries ``cache_dir`` holds."""
+    return len(list(cache_dir.glob("*.json")))
+
+
+def _wait_for_entries(cache_dir, min_entries, process, timeout_s=120.0):
+    """Block until the cache holds ``min_entries`` entries."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         if process.poll() is not None:
             raise AssertionError(
                 f"campaign exited (rc={process.returncode}) before the "
-                f"journal reached {min_lines} lines")
-        try:
-            lines = path.read_bytes().count(b"\n")
-        except OSError:
-            lines = 0
-        if lines >= min_lines:
+                f"cache reached {min_entries} entries")
+        if _entries(cache_dir) >= min_entries:
             return
         time.sleep(0.05)
-    raise AssertionError(f"journal never reached {min_lines} lines")
+    raise AssertionError(f"cache never reached {min_entries} entries")
 
 
 def _kill_group(process):
@@ -89,43 +91,41 @@ CAMPAIGN = ["fig3", "--preset", "quick", "--jobs", "2"]
 class TestKillResume:
     def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
         reference = _run(
-            CAMPAIGN + ["--output", "ref", "--cache-dir", "refcache",
-                        "--journal", "ref.jsonl"],
+            CAMPAIGN + ["--output", "ref", "--cache-dir", "refcache"],
             cwd=tmp_path)
         assert reference.returncode == 0, reference.stderr
         ref_text = (tmp_path / "ref" / "fig3.txt").read_bytes()
 
-        journal = tmp_path / "run.jsonl"
+        cache = tmp_path / "cache"
         process = _popen(
-            CAMPAIGN + ["--output", "out", "--cache-dir", "cache",
-                        "--journal", "run.jsonl"],
+            CAMPAIGN + ["--output", "out", "--cache-dir", "cache"],
             cwd=tmp_path)
         try:
-            # Wait for meta + a few completed cells, then pull the plug on
-            # the CLI and its pool workers together (the CLI leads its own
-            # session, so its process group holds every worker).
-            _wait_for_journal(journal, 4, process)
+            # Wait for a few stored cells, then pull the plug on the CLI
+            # and its pool workers together (the CLI leads its own session,
+            # so its process group holds every worker).
+            _wait_for_entries(cache, 3, process)
         finally:
             _kill_group(process)
+        stored = _entries(cache)
 
         resumed = _run(
-            CAMPAIGN + ["--output", "out", "--cache-dir", "cache2",
-                        "--journal", "run.jsonl", "--resume"],
+            CAMPAIGN + ["--output", "out", "--cache-dir", "cache"],
             cwd=tmp_path)
         assert resumed.returncode == 0, resumed.stderr
-        assert "from journal" in resumed.stdout
+        served = re.search(r"(\d+) from cache", resumed.stdout)
+        assert served is not None, resumed.stdout
+        assert int(served.group(1)) == stored >= 3
         assert (tmp_path / "out" / "fig3.txt").read_bytes() == ref_text
 
     def test_sigkill_of_the_campaign_ends_its_pool_workers(self, tmp_path):
         """Workers notice that their campaign died: nothing of the killed
         campaign's session is alive 10 s after the SIGKILL."""
-        journal = tmp_path / "run.jsonl"
         process = _popen(
-            CAMPAIGN + ["--output", "out", "--cache-dir", "cache",
-                        "--journal", "run.jsonl"],
+            CAMPAIGN + ["--output", "out", "--cache-dir", "cache"],
             cwd=tmp_path)
         try:
-            _wait_for_journal(journal, 2, process)  # meta + one cell
+            _wait_for_entries(tmp_path / "cache", 1, process)
             os.kill(process.pid, signal.SIGKILL)
             process.wait(timeout=30)
             deadline = time.monotonic() + 10.0
@@ -136,13 +136,12 @@ class TestKillResume:
             _kill_group(process)
 
     def test_sigint_exits_130_without_traceback(self, tmp_path):
-        journal = tmp_path / "run.jsonl"
+        cache = tmp_path / "cache"
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments",
-             *CAMPAIGN, "--output", "out", "--cache-dir", "cache",
-             "--journal", "run.jsonl"],
+             *CAMPAIGN, "--output", "out", "--cache-dir", "cache"],
             cwd=tmp_path, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, start_new_session=True,
         )
@@ -151,11 +150,8 @@ class TestKillResume:
             while time.monotonic() < deadline:
                 if process.poll() is not None:
                     break
-                try:
-                    if journal.read_bytes().count(b"\n") >= 3:
-                        break
-                except OSError:
-                    pass
+                if _entries(cache) >= 2:
+                    break
                 time.sleep(0.05)
             assert process.poll() is None, "campaign finished before SIGINT"
             os.killpg(process.pid, signal.SIGINT)
@@ -166,8 +162,3 @@ class TestKillResume:
         assert process.returncode == 130, (stdout, stderr)
         assert "interrupted" in stderr
         assert "Traceback" not in stderr
-
-    def test_resume_flag_requires_journal(self, tmp_path):
-        result = _run(["fig3", "--resume"], cwd=tmp_path)
-        assert result.returncode == 2
-        assert "--journal" in result.stderr

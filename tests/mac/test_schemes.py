@@ -127,14 +127,23 @@ class TestSchemeKinds:
         assert isinstance(cell_bank, BatchedIdleSenseBank)
         assert isinstance(station_bank, BatchedStationIdleSenseBank)
 
-    def test_controller_keywords_reach_the_scalar_controller_only(self, phy):
-        declared = scheme_kind("wtop-csma")
-        scheme = declared.scheme(phy, initial_k=3)
-        assert isinstance(scheme.make_controller(), WTopCsmaController)
-        assert declared.batchable({"update_period": 0.05})
-        assert not declared.batchable({"initial_k": 3})
-        with pytest.raises(ValueError, match="no batched kernel"):
-            declared.batched({"initial_k": 3}, 2, 4, phy)
+    @pytest.mark.parametrize("kind, controller", [
+        ("wtop-csma", WTopCsmaController), ("tora-csma", ToraCsmaController)])
+    def test_controller_keywords_are_not_scheme_parameters(
+            self, phy, kind, controller):
+        """A kind takes its declared parameters only; the controller and
+        the bank keep their own defaults (first iteration k = 2)."""
+        declared = scheme_kind(kind)
+        for params in ({"initial_k": 3}, {"throughput_scale": 1e6}):
+            with pytest.raises(TypeError, match="takes no parameter"):
+                declared.scheme(phy, **params)
+            with pytest.raises(TypeError, match="takes no parameter"):
+                declared.batched(params, 2, 4, phy)
+        scalar = declared.scheme(phy).make_controller()
+        assert isinstance(scalar, controller)
+        assert scalar.iteration == 2
+        _, bank, _ = declared.batched({}, 2, 4, phy)
+        assert list(bank.tracker.k) == [2, 2]
 
     def test_unknown_and_missing_parameters_rejected(self, phy):
         with pytest.raises(TypeError, match="takes no parameter"):
@@ -142,7 +151,9 @@ class TestSchemeKinds:
         with pytest.raises(TypeError, match="needs parameter"):
             scheme_kind("fixed-randomreset").scheme(phy, stage=1)
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, phy):
         with pytest.raises(ValueError, match="unknown scheme kind"):
             scheme_kind("aloha")
-        assert not scheme_kind("n-estimating").batchable({})
+        assert not scheme_kind("n-estimating").batchable
+        with pytest.raises(ValueError, match="no batched kernel"):
+            scheme_kind("n-estimating").batched({}, 2, 4, phy)

@@ -215,9 +215,9 @@ class TestMechanics:
 
     def test_batchable_scheme_vocabulary(self):
         assert "standard-802.11" in BATCHABLE_SCHEME_KINDS
-        assert batchable_scheme("wtop-csma", {"update_period": 0.05})
-        assert not batchable_scheme("n-estimating", {})
-        assert not batchable_scheme("wtop-csma", {"mapping": object()})
+        assert batchable_scheme("wtop-csma")
+        assert not batchable_scheme("n-estimating")
+        assert not batchable_scheme("carrier-pigeon")
 
 
 class TestDynamicActivity:

@@ -100,6 +100,23 @@ class TestCountersPerBackend:
         [record] = [r for r in records if r["type"] == "counters"]
         assert record["counters"]["events_processed"] > 0
 
+    def test_batched_slot_counters_match_the_measured_books(self):
+        """With no warm-up every slot is measured, so the loop's idle-slot
+        and busy-slot counters equal the results' summed tallies."""
+        tasks = [dataclasses.replace(connected_task("batched", seed=s,
+                                                    num_stations=n),
+                                     warmup=0.0)
+                 for s, n in ((1, 3), (2, 7))]
+        tel = Telemetry()
+        with session(tel):
+            results = execute_batch(tasks)
+        [record] = [r for r in tel.records if r["type"] == "counters"]
+        counters = record["counters"]
+        assert counters["busy_slots"] == sum(r.busy_periods for r in results)
+        assert counters["idle_slots_advanced"] == \
+            sum(r.idle_slots for r in results)
+        assert counters["busy_slots"] > 0
+
     def test_conflict_product_ops_scale_with_recomputes(self):
         _, records = run_with_telemetry(BACKEND_TASKS["conflict"])
         [record] = [r for r in records if r["type"] == "counters"]

@@ -3,16 +3,18 @@
 Every benchmark regenerates one of the paper's tables or figures with a
 reduced-but-representative budget (single-digit minutes for the whole suite on
 a laptop), prints the reproduced numbers and, on a record run, writes them to
-``benchmarks/results/<experiment>.txt`` so ``bench_output.txt`` plus that
-directory together document the reproduction.
+``benchmarks/results/<experiment>.txt``, so that directory documents the
+reproduction.
 
 Alongside each ``.txt``, every benchmark produces a machine-readable
 ``benchmarks/results/BENCH_<name>.json`` (wall clock, backend, grid shape,
 cells and cells/sec where the test provides them) via the autouse
 :func:`bench_json` fixture, so the performance trajectory is tracked between
 PRs; ``benchmarks/check_benchmark_regression.py`` compares these against the
-committed baselines in ``benchmarks/baselines/`` and CI fails on a >25 %
-cells/sec regression of the batched backends.
+committed baselines in ``benchmarks/baselines/``; CI runs it at a tolerance
+of 60 % (``BENCH_REGRESSION_TOLERANCE=0.6``), so it fails on a >60 %
+cells/sec regression of the batched backends (the script's own default is
+25 %).
 
 Every write under ``benchmarks/results/`` goes through :func:`write_result`,
 which writes only when ``BENCH_RECORD=1`` is exported.  A plain test run

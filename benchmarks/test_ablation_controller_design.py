@@ -1,4 +1,4 @@
-"""Ablations of the controller design choices called out in DESIGN.md.
+"""Ablations of the controller design choices :mod:`repro.core.wtop` lists.
 
 Two calibrations distinguish the implementation from a literal transcription
 of Algorithm 1, and both are exercised here against the *analytical* plant

@@ -1,4 +1,4 @@
-"""Ablation: slotted vs event-driven simulator (DESIGN.md design choice).
+"""Ablation: slotted vs event-driven simulator (a design choice of the reproduction).
 
 The reproduction keeps two simulators: the event-driven one (required for
 hidden nodes) and the renewal-slot one (fast, fully connected only).  This

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.experiments.campaign import CampaignExecutor
-from repro.experiments.fig3 import run_fig3
+from repro.experiments import run_fig3
 
 #: Conservative CI floor; the recorded speedup on an idle machine is >5x.
 MIN_SPEEDUP = 2.0

@@ -8,7 +8,7 @@ optimum throughout.
 import numpy as np
 import pytest
 
-from repro.experiments.fig10_11 import run_fig10_11
+from repro.experiments import run_fig10_11
 
 
 @pytest.mark.benchmark(group="fig10_11")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.persistent import optimal_attempt_probability, throughput_curve
-from repro.experiments.fig13 import run_fig13
+from repro.experiments import run_fig13
 from repro.phy.constants import PhyParameters
 
 

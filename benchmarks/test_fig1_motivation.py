@@ -9,7 +9,7 @@ Shape to reproduce (paper's motivation):
 import numpy as np
 import pytest
 
-from repro.experiments.fig1 import run_fig1
+from repro.experiments import run_fig1
 
 
 @pytest.mark.benchmark(group="fig1")

@@ -8,7 +8,7 @@ interior attempt probability, with the simulated curve tracking Eq. (3).
 import numpy as np
 import pytest
 
-from repro.experiments.fig2 import run_fig2
+from repro.experiments import run_fig2
 
 
 @pytest.mark.benchmark(group="fig2")

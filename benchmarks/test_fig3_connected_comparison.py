@@ -10,7 +10,7 @@ Shape to reproduce:
 import numpy as np
 import pytest
 
-from repro.experiments.fig3 import run_fig3
+from repro.experiments import run_fig3
 
 
 @pytest.mark.benchmark(group="fig3")

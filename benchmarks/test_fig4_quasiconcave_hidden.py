@@ -9,7 +9,7 @@ the empirical justification for running Kiefer-Wolfowitz there.
 import numpy as np
 import pytest
 
-from repro.experiments.fig4 import run_fig4
+from repro.experiments import run_fig4
 
 
 @pytest.mark.benchmark(group="fig4")

@@ -8,7 +8,7 @@ second empirical quasi-concavity result the paper relies on.
 import numpy as np
 import pytest
 
-from repro.experiments.fig5 import run_fig5
+from repro.experiments import run_fig5
 
 
 @pytest.mark.benchmark(group="fig5")

@@ -12,7 +12,7 @@ Shape to reproduce (the paper's headline hidden-node result):
 import numpy as np
 import pytest
 
-from repro.experiments.fig6_7 import run_fig6
+from repro.experiments import run_fig6
 
 
 @pytest.mark.benchmark(group="fig6")

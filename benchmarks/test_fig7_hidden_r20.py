@@ -7,7 +7,7 @@ TORA-CSMA >= wTOP-CSMA >> IdleSense must persist.
 import numpy as np
 import pytest
 
-from repro.experiments.fig6_7 import run_fig7
+from repro.experiments import run_fig7
 
 
 @pytest.mark.benchmark(group="fig7")

@@ -12,7 +12,7 @@ Shape to reproduce:
 import numpy as np
 import pytest
 
-from repro.experiments.fig8_9 import run_fig8_9
+from repro.experiments import run_fig8_9
 
 
 @pytest.mark.benchmark(group="fig8_9")

@@ -22,7 +22,7 @@ re-checked here as a cheap tripwire.
 import pytest
 
 from repro.experiments.campaign import CampaignExecutor
-from repro.experiments.fig3 import run_fig3
+from repro.experiments import run_fig3
 from repro.telemetry import ProbeConfig, Telemetry
 
 #: Conservative CI ceiling for enabled/disabled CPU time (the same bar as

@@ -24,7 +24,7 @@ the summary statistics as a cheap tripwire.
 import pytest
 
 from repro.experiments.campaign import CampaignExecutor
-from repro.experiments.fig3 import run_fig3
+from repro.experiments import run_fig3
 from repro.telemetry import Telemetry
 
 #: Conservative CI ceiling for enabled/disabled CPU time; the measured

@@ -216,10 +216,6 @@ class PersistentModel:
             self.num_stations, self.phy, list(self.effective_weights)
         )
 
-    def approximate_optimal_p(self) -> float:
-        """Bianchi's closed-form approximation of ``p*`` (Eq. 8)."""
-        return approximate_optimal_attempt_probability(self.num_stations, self.phy)
-
     def optimal_throughput(self) -> float:
         """Throughput at the exact optimum (bits/s)."""
         return self.throughput(self.optimal_p())

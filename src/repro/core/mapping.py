@@ -13,8 +13,8 @@ The Kiefer-Wolfowitz tracker works on a normalised variable ``x`` in
   optimises ``x = log(p)`` rescaled to ``[0, 1]`` instead.  The paper's own
   evaluation plots throughput against ``log(p)`` (Figures 2 and 4), and a
   strictly monotone reparameterisation preserves quasi-concavity, so the
-  Kiefer-Wolfowitz convergence argument is unchanged.  DESIGN.md records this
-  as an implementation calibration.
+  Kiefer-Wolfowitz convergence argument is unchanged.  This is one of the
+  two implementation calibrations :mod:`repro.core.wtop` lists.
 
 Both maps are strictly increasing bijections of ``[0, 1]`` onto
 ``[low, high]``.

@@ -8,8 +8,8 @@ The access point measures throughput over segments of length
 Stations map the advertised ``p`` through their weight (Lemma 1) to obtain
 their own attempt probability.
 
-Two implementation calibrations, recorded in DESIGN.md, adapt the pseudo code
-to something that converges in practice:
+Two implementation calibrations adapt the pseudo code to something that
+converges in practice:
 
 * **Throughput normalisation.**  The raw segment throughput (bits/s) is
   divided by ``throughput_scale`` (default: the channel bit rate) so the

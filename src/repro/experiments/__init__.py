@@ -26,16 +26,8 @@ from .campaign import (
     execute_task,
 )
 from .config import PAPER, QUICK, ExperimentConfig
-from .fig1 import run_fig1
-from .fig2 import default_probability_grid, run_fig2
-from .fig3 import run_fig3
-from .fig4 import run_fig4
-from .fig5 import run_fig5
-from .fig6_7 import run_fig6, run_fig7, run_hidden_comparison
-from .fig8_9 import default_station_steps, run_fig8_9
-from .fig10_11 import run_fig10_11
+from .dynamics import default_station_steps, run_fig8_9, run_fig10_11
 from .fig12 import run_fig12
-from .fig13 import run_fig13
 from .fig_fct_sweep import run_fig_fct_sweep
 from .fig_load_sweep import run_fig_load_sweep
 from .fig_stability_atlas import run_fig_stability_atlas
@@ -50,11 +42,13 @@ from .runner import (
     hidden_task,
     paper_scheme_specs,
 )
+from .sweeps import default_probability_grid, run_fig2, run_fig4, run_fig5, run_fig13
 from .table1 import run_table1
 from .table2 import PAPER_WEIGHTS, run_table2
 from .table3 import run_table3
+from .throughput import run_fig1, run_fig3, run_fig6, run_fig7, run_hidden_comparison
 
-#: Mapping from experiment id (as used in DESIGN.md / EXPERIMENTS.md) to runner.
+#: Mapping from experiment id (the CLI's, see ``--list``) to runner.
 EXPERIMENT_REGISTRY = {
     "table1": run_table1,
     "fig1": run_fig1,

@@ -8,10 +8,11 @@ Usage::
     python -m repro.experiments fig6 --preset paper --output results/
     python -m repro.experiments all --jobs 8 --cache-dir .repro-cache
 
-Each experiment id corresponds to one table or figure of the paper (see
-DESIGN.md section 4); the pseudo-id ``all`` expands to every experiment so
-the entire evaluation runs as one campaign.  Results are printed as text
-tables and optionally written to ``<output>/<experiment>.txt``.
+Each experiment id corresponds to one table or figure of the paper, or to
+one extension sweep (``--list`` prints them); the pseudo-id ``all`` expands
+to every experiment so the entire evaluation runs as one campaign.  Results
+are printed as text tables and optionally written to
+``<output>/<experiment>.txt``.
 
 Simulation cells are executed through a shared
 :class:`~repro.experiments.campaign.CampaignExecutor`: ``--jobs`` fans them
@@ -36,7 +37,6 @@ and without them are bit-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import pathlib
 import sys
 import time
@@ -234,56 +234,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("no experiments given (use --list to see the available ids)")
 
     names = _resolve_experiments(args.experiments, parser)
-    config = _PRESETS[args.preset]
-    if args.traffic is not None:
-        config = config.evolve(traffic_kind=args.traffic)
-    if args.load:
-        for load in args.load:
-            if not math.isfinite(load) or load <= 0:
-                parser.error(
-                    f"--load must be a positive finite multiplier, got {load!r}"
-                )
-        config = config.evolve(load_points=tuple(args.load))
-    if args.queue_limit is not None:
-        if args.queue_limit < 1:
-            parser.error(
-                f"--queue-limit must be at least 1 frame, got {args.queue_limit}"
-            )
-        config = config.evolve(traffic_queue_limit=args.queue_limit)
-    if args.retry_limit is not None:
-        if args.retry_limit < 1:
-            parser.error(
-                "--retry-limit must allow at least one transmission attempt, "
-                f"got {args.retry_limit}"
-            )
-        config = config.evolve(retry_limit=args.retry_limit)
-    if args.output is not None:
-        args.output.mkdir(parents=True, exist_ok=True)
+    if args.probe_interval is not None and args.trace is None:
+        parser.error("--probe-interval requires --trace FILE.jsonl "
+                     "(probe records stream into the trace)")
     if (args.cache_dir is not None and args.cache_dir.exists()
             and not args.cache_dir.is_dir()):
         parser.error(f"--cache-dir: '{args.cache_dir}' exists and is not a directory")
-    if args.task_timeout is not None and (
-            not math.isfinite(args.task_timeout) or args.task_timeout <= 0):
-        parser.error(
-            f"--task-timeout must be a positive finite number of seconds, "
-            f"got {args.task_timeout!r}"
-        )
-    if args.task_retries < 0:
-        parser.error(f"--task-retries must be non-negative, got {args.task_retries}")
-    if not math.isfinite(args.retry_backoff) or args.retry_backoff < 0:
-        parser.error(
-            f"--retry-backoff must be a non-negative finite number of "
-            f"seconds, got {args.retry_backoff!r}"
-        )
-    if args.probe_interval is not None:
-        if not math.isfinite(args.probe_interval) or args.probe_interval <= 0:
-            parser.error(
-                f"--probe-interval must be a positive finite number of "
-                f"seconds, got {args.probe_interval!r}"
-            )
-        if args.trace is None:
-            parser.error("--probe-interval requires --trace FILE.jsonl "
-                         "(probe records stream into the trace)")
 
     writer = None
     telemetry = None
@@ -291,10 +247,41 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..telemetry import Telemetry
         from ..telemetry.trace import TRACE_SCHEMA_VERSION, JsonlTraceWriter
 
-        writer = JsonlTraceWriter(args.trace)
         # Records stream straight to disk; keeping them in memory too would
-        # double the footprint of long campaigns for no benefit.
-        telemetry = Telemetry(sink=writer.write, keep_records=False)
+        # double the footprint of long campaigns for no benefit.  The writer
+        # opens (and truncates) the file below, once every value is accepted.
+        telemetry = Telemetry(sink=lambda record: writer.write(record),
+                              keep_records=False)
+    config = _PRESETS[args.preset]
+    try:
+        # The constructors check every value; a bad one exits 2.
+        if args.traffic is not None:
+            config = config.evolve(traffic_kind=args.traffic)
+        if args.load:
+            config = config.evolve(load_points=tuple(args.load))
+        if args.queue_limit is not None:
+            config = config.evolve(traffic_queue_limit=args.queue_limit)
+        if args.retry_limit is not None:
+            config = config.evolve(retry_limit=args.retry_limit)
+        executor = CampaignExecutor(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            progress=stderr_progress if args.progress else None,
+            backend=args.backend,
+            telemetry=telemetry,
+            profile=args.profile,
+            task_timeout_s=args.task_timeout,
+            task_retries=args.task_retries,
+            retry_backoff_s=args.retry_backoff,
+            probe=(ProbeConfig(args.probe_interval)
+                   if args.probe_interval is not None else None),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.output is not None:
+        args.output.mkdir(parents=True, exist_ok=True)
+    if args.trace is not None:
+        writer = JsonlTraceWriter(args.trace)
         telemetry.emit({
             "type": "meta",
             "t0": time.time(),
@@ -308,20 +295,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "probe_interval": args.probe_interval,
             },
         })
-
-    executor = CampaignExecutor(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        progress=stderr_progress if args.progress else None,
-        backend=args.backend,
-        telemetry=telemetry,
-        profile=args.profile,
-        task_timeout_s=args.task_timeout,
-        task_retries=args.task_retries,
-        retry_backoff_s=args.retry_backoff,
-        probe=(ProbeConfig(args.probe_interval)
-               if args.probe_interval is not None else None),
-    )
 
     interrupted = False
     try:

@@ -13,7 +13,10 @@ renamed into place, so an entry that exists is complete.  The directory is
 not fsync'd, so after a machine crash a recent entry may be missing; its
 cell is then simulated again.  The cache is the campaign's checkpoint: a
 killed campaign re-run with the same directory simulates only the cells
-that have no entry yet.
+that have no entry yet.  A kill between writing a temporary file and
+renaming it leaves the file behind; its name carries the writer's host and
+pid, and the next cache opened on that host deletes it once that pid is
+gone.  Temporaries of live writers and of other hosts stay.
 
 Corrupt or version-mismatched entries are treated as misses (and re-run),
 never as errors: a cache must not be able to break a campaign.  Corrupt
@@ -27,9 +30,11 @@ stay in place (an older build may still want them).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
+import socket
 import sys
 import tempfile
 from typing import Dict, Optional
@@ -51,6 +56,20 @@ __all__ = [
 #: the serialised result shape changes so that entries written by older code
 #: are invalidated on load instead of being deserialised into garbage.
 RESULT_SCHEMA_VERSION = 2
+
+#: This host's tag in the names of temporary entry files (a hash, so the
+#: name splits on ``-`` whatever the host name holds).
+_HOST_TAG = hashlib.sha256(socket.gethostname().encode("utf-8")).hexdigest()[:8]
+
+
+def _process_is_gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # it runs under another user
+        return False
+    return False
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, object]:
@@ -140,6 +159,11 @@ class ResultCache:
         #: :meth:`load` over this instance's lifetime.
         self.corrupt_entries = 0
         self._warned_corrupt = False
+        # Temporaries are named ``.<key>-<host>-<pid>-<random>.tmp``.
+        for path in self._root.glob(f".*-{_HOST_TAG}-*.tmp"):
+            pid = path.name.split("-")[2]
+            if pid.isdigit() and _process_is_gone(int(pid)):
+                path.unlink(missing_ok=True)
 
     def path_for(self, key: str) -> pathlib.Path:
         return self._root / f"{key}.json"
@@ -210,7 +234,8 @@ class ResultCache:
         # means a machine-level crash cannot leave a renamed but empty
         # entry; it can lose a recent rename, which costs a re-simulation.
         fd, tmp_name = tempfile.mkstemp(
-            dir=self._root, prefix=f".{key[:12]}-", suffix=".tmp"
+            dir=self._root, prefix=f".{key[:12]}-{_HOST_TAG}-{os.getpid()}-",
+            suffix=".tmp",
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

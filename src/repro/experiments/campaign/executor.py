@@ -1085,12 +1085,22 @@ class CampaignExecutor:
             raise ValueError(
                 f"unknown backend '{backend}'; expected one of {BACKENDS}"
             )
-        if task_timeout_s is not None and task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive (or None)")
+        # NaN fails every comparison, so it is refused with ``inf``: a NaN
+        # timeout never expires and a NaN backoff never releases its unit.
+        if task_timeout_s is not None and not 0 < task_timeout_s < math.inf:
+            raise ValueError(
+                "task_timeout_s must be a positive finite number of seconds "
+                f"(or None), got {task_timeout_s!r}"
+            )
         if task_retries < 0:
-            raise ValueError("task_retries must be non-negative")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be non-negative")
+            raise ValueError(
+                f"task_retries must be non-negative, got {task_retries!r}"
+            )
+        if not 0 <= retry_backoff_s < math.inf:
+            raise ValueError(
+                "retry_backoff_s must be a non-negative finite number of "
+                f"seconds, got {retry_backoff_s!r}"
+            )
         self._jobs = int(jobs)
         self._backend = backend
         self._cache = ResultCache(cache_dir) if cache_dir is not None else None

@@ -6,9 +6,9 @@ swept.  Two presets are provided:
 
 * :data:`QUICK` — small budgets so the full benchmark suite finishes in
   minutes on a laptop; used by ``benchmarks/`` and the test suite.
-* :data:`PAPER` — budgets comparable to the paper's ns-3 runs (long
-  adaptation warm-ups, 20 repetitions); used when regenerating the numbers in
-  EXPERIMENTS.md with more statistical weight.
+* :data:`PAPER` — budgets closer to the paper's ns-3 runs (long adaptation
+  warm-ups, 10 repetitions); used when regenerating the numbers with more
+  statistical weight.
 
 The paper's absolute settings (250 ms update period, 20 iterations, hundreds
 of simulated seconds) are reachable by constructing a custom config.

@@ -28,17 +28,18 @@ contention it actually experienced from its first frame.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..phy.constants import PhyParameters
 from ..traffic import ArrivalProcess, saturation_frame_rate
-from .campaign import CampaignExecutor, RunTask, SchemeSpec, TopologySpec
+from .campaign import CampaignExecutor, RunTask, TopologySpec
 from .config import ExperimentConfig, QUICK
 from .runner import (
     ExperimentResult,
     ExperimentRow,
-    default_executor,
-    group_results,
+    extension_scheme_specs,
+    mean_metric,
+    submit,
 )
 
 __all__ = ["run_fig_fct_sweep", "fct_workloads_for"]
@@ -52,6 +53,15 @@ INCAST_BURST = 32
 INCAST_EPOCH_S = 0.25
 #: Downlink load as a fraction of the channel's saturation frame rate.
 DOWNLINK_LOAD = 0.9
+
+#: Column suffix -> (per-cell metric, scale applied to its mean over seeds).
+_METRICS = {
+    "FCT ms": (lambda r: r.mean_flow_completion_s, 1e3),
+    "p99 ms": (lambda r: r.queue_delay_p99_s, 1e3),
+    "discards": (lambda r: r.retry_discards, 1.0),
+    "Mbps": (lambda r: r.total_throughput_mbps, 1.0),
+    "drop": (lambda r: r.drop_rate, 1.0),
+}
 
 
 def fct_workloads_for(config: ExperimentConfig, phy: PhyParameters,
@@ -79,61 +89,36 @@ def run_fig_fct_sweep(config: ExperimentConfig = QUICK,
                       executor: Optional[CampaignExecutor] = None,
                       ) -> ExperimentResult:
     """Closed-loop window, incast and downlink workloads across schemes."""
-    executor = executor or default_executor()
     phy_obj = phy or PhyParameters()
     num_stations = min(config.node_counts)
-    schemes: Dict[str, SchemeSpec] = {
-        "Standard 802.11": SchemeSpec.make("standard-802.11"),
-        "IdleSense": SchemeSpec.make("idlesense"),
-        "wTOP-CSMA": SchemeSpec.make(
-            "wtop-csma", update_period=config.update_period
-        ),
-    }
+    schemes = extension_scheme_specs(config)
     workloads = fct_workloads_for(config, phy_obj, num_stations)
 
-    tasks, keys = [], []
-    for workload, traffic in workloads:
-        for name, spec in schemes.items():
-            for seed in config.seeds:
-                tasks.append(RunTask(
-                    scheme=spec,
-                    topology=TopologySpec.connected(num_stations),
-                    seed=seed,
-                    duration=config.measure_duration,
-                    warmup=0.0,
-                    phy=phy,
-                    traffic=traffic,
-                    label=(f"fig_fct_sweep/{workload}/{name}"
-                           f"/seed={seed}"),
-                ))
-                keys.append((workload, name))
-    grouped = group_results(keys, executor.run(tasks))
+    grouped = submit((
+        ((workload, name), RunTask(
+            scheme=spec,
+            topology=TopologySpec.connected(num_stations),
+            seed=seed,
+            duration=config.measure_duration,
+            warmup=0.0,
+            phy=phy,
+            traffic=traffic,
+            label=f"fig_fct_sweep/{workload}/{name}/seed={seed}",
+        ))
+        for workload, traffic in workloads
+        for name, spec in schemes.items()
+        for seed in config.seeds
+    ), executor)
 
-    columns = []
-    for name in schemes:
-        columns += [f"{name} FCT ms", f"{name} p99 ms",
-                    f"{name} discards", f"{name} Mbps", f"{name} drop"]
-    rows = []
-    for workload, _ in workloads:
-        values: Dict[str, object] = {}
-        for name in schemes:
-            cells = grouped[(workload, name)]
-            values[f"{name} FCT ms"] = sum(
-                r.mean_flow_completion_s for r in cells
-            ) / len(cells) * 1e3
-            values[f"{name} p99 ms"] = sum(
-                r.queue_delay_p99_s for r in cells
-            ) / len(cells) * 1e3
-            values[f"{name} discards"] = sum(
-                r.retry_discards for r in cells
-            ) / len(cells)
-            values[f"{name} Mbps"] = sum(
-                r.total_throughput_mbps for r in cells
-            ) / len(cells)
-            values[f"{name} drop"] = sum(
-                r.drop_rate for r in cells
-            ) / len(cells)
-        rows.append(ExperimentRow(label=workload, values=values))
+    columns = [f"{name} {metric}" for name in schemes for metric in _METRICS]
+    rows = [
+        ExperimentRow(label=workload, values={
+            f"{name} {metric}": mean_metric(grouped[(workload, name)], get) * scale
+            for name in schemes
+            for metric, (get, scale) in _METRICS.items()
+        })
+        for workload, _ in workloads
+    ]
 
     return ExperimentResult(
         name="Flow-completion sweep",

@@ -23,23 +23,33 @@ config (``traffic_kind`` / ``load_points``; CLI ``--traffic`` /
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..analysis.fairness import jain_index
 from ..phy.constants import PhyParameters
 from ..traffic import ArrivalProcess, saturation_frame_rate
-from .campaign import CampaignExecutor, SchemeSpec, derive_seed
+from .campaign import CampaignExecutor, derive_seed
 from .config import ExperimentConfig, QUICK
 from .runner import (
     ExperimentResult,
     ExperimentRow,
     connected_task,
-    default_executor,
-    group_results,
+    extension_scheme_specs,
     hidden_task,
+    mean_metric,
+    submit,
 )
 
 __all__ = ["run_fig_load_sweep", "arrival_process_for"]
+
+#: Column suffix -> (per-cell metric, scale applied to its mean over seeds).
+_METRICS = {
+    "Mbps": (lambda r: r.total_throughput_mbps, 1.0),
+    "delay ms": (lambda r: r.mean_queue_delay_s, 1e3),
+    "drop": (lambda r: r.drop_rate, 1.0),
+    "Jain": (lambda r: jain_index(r.per_station_throughput_bps), 1.0),
+}
+_FAMILIES = ("connected", "hidden")
 
 
 def arrival_process_for(config: ExperimentConfig, load: float,
@@ -68,19 +78,12 @@ def run_fig_load_sweep(config: ExperimentConfig = QUICK,
                        executor: Optional[CampaignExecutor] = None,
                        ) -> ExperimentResult:
     """Sweep offered load across schemes, topologies and backends."""
-    executor = executor or default_executor()
     phy_obj = phy or PhyParameters()
     num_stations = min(config.node_counts)
-    schemes: Dict[str, SchemeSpec] = {
-        "Standard 802.11": SchemeSpec.make("standard-802.11"),
-        "IdleSense": SchemeSpec.make("idlesense"),
-        "wTOP-CSMA": SchemeSpec.make(
-            "wtop-csma", update_period=config.update_period
-        ),
-    }
+    schemes = extension_scheme_specs(config)
 
-    tasks, keys = [], []
-    for family in ("connected", "hidden"):
+    cells = []
+    for family in _FAMILIES:
         for load in config.load_points:
             traffic = arrival_process_for(config, load, phy_obj, num_stations)
             for name, spec in schemes.items():
@@ -102,35 +105,19 @@ def run_fig_load_sweep(config: ExperimentConfig = QUICK,
                             config, seed, phy=phy, traffic=traffic,
                             label=label,
                         )
-                    tasks.append(task)
-                    keys.append((family, load, name))
-    grouped = group_results(keys, executor.run(tasks))
+                    cells.append(((family, load, name), task))
+    grouped = submit(cells, executor)
 
-    columns = []
-    for name in schemes:
-        columns += [f"{name} Mbps", f"{name} delay ms",
-                    f"{name} drop", f"{name} Jain"]
-    rows = []
-    for family in ("connected", "hidden"):
-        for load in config.load_points:
-            values: Dict[str, object] = {}
-            for name in schemes:
-                cells = grouped[(family, load, name)]
-                values[f"{name} Mbps"] = sum(
-                    r.total_throughput_mbps for r in cells
-                ) / len(cells)
-                values[f"{name} delay ms"] = sum(
-                    r.mean_queue_delay_s for r in cells
-                ) / len(cells) * 1e3
-                values[f"{name} drop"] = sum(
-                    r.drop_rate for r in cells
-                ) / len(cells)
-                values[f"{name} Jain"] = sum(
-                    jain_index(r.per_station_throughput_bps) for r in cells
-                ) / len(cells)
-            rows.append(ExperimentRow(
-                label=f"{family}/x={load:g}", values=values,
-            ))
+    columns = [f"{name} {metric}" for name in schemes for metric in _METRICS]
+    rows = [
+        ExperimentRow(label=f"{family}/x={load:g}", values={
+            f"{name} {metric}": mean_metric(grouped[(family, load, name)], get) * scale
+            for name in schemes
+            for metric, (get, scale) in _METRICS.items()
+        })
+        for family in _FAMILIES
+        for load in config.load_points
+    ]
 
     offered_fps = saturation_frame_rate(phy_obj)
     return ExperimentResult(

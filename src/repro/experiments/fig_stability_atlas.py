@@ -31,7 +31,13 @@ from ..sim.metrics import SimulationResult
 from .campaign import CampaignExecutor, RunTask, SchemeSpec, TopologySpec
 from .config import ExperimentConfig, QUICK
 from .fig_load_sweep import arrival_process_for
-from .runner import ExperimentResult, ExperimentRow, default_executor, group_results
+from .runner import (
+    ExperimentResult,
+    ExperimentRow,
+    extension_scheme_specs,
+    mean_metric,
+    submit,
+)
 
 __all__ = [
     "run_fig_stability_atlas",
@@ -64,16 +70,6 @@ _ATLAS_TOPOLOGY_SEED = 0
 _LIVELOCK_SEEDS = (1, 5)
 
 
-def _default_schemes(config: ExperimentConfig) -> Dict[str, SchemeSpec]:
-    return {
-        "Standard 802.11": SchemeSpec.make("standard-802.11"),
-        "IdleSense": SchemeSpec.make("idlesense"),
-        "wTOP-CSMA": SchemeSpec.make(
-            "wtop-csma", update_period=config.update_period
-        ),
-    }
-
-
 def _classify_cell(result: SimulationResult) -> StabilityReport:
     """Classify one cell's throughput time line."""
     return classify_stability(result.throughput_timeline)
@@ -94,16 +90,15 @@ def run_fig_stability_atlas(config: ExperimentConfig = QUICK,
     paper-scheme grid runs, over ``config.seeds`` extended with the
     documented livelock seeds 1 and 5.
     """
-    executor = executor or default_executor()
     phy_obj = phy or PhyParameters()
-    scheme_map = dict(schemes) if schemes is not None else _default_schemes(config)
+    scheme_map = (dict(schemes) if schemes is not None
+                  else extension_scheme_specs(config))
     separations = tuple(separations) if separations is not None else ATLAS_SEPARATIONS
     loads = tuple(loads) if loads is not None else ATLAS_LOADS
     seeds = tuple(sorted(set(config.seeds) | set(_LIVELOCK_SEEDS)))
     num_stations = 2 * ATLAS_STATIONS_PER_CLUSTER
 
-    tasks: List[RunTask] = []
-    keys: List[Tuple[str, float, Optional[float]]] = []
+    cells = []
     for name, spec in scheme_map.items():
         for separation in separations:
             topology = TopologySpec.two_cluster(
@@ -118,7 +113,7 @@ def run_fig_stability_atlas(config: ExperimentConfig = QUICK,
                     )
                 for seed in seeds:
                     load_label = "sat" if load is None else f"x={load:g}"
-                    tasks.append(RunTask(
+                    cells.append(((name, separation, load), RunTask(
                         scheme=spec,
                         topology=topology,
                         seed=seed,
@@ -129,9 +124,8 @@ def run_fig_stability_atlas(config: ExperimentConfig = QUICK,
                         traffic=traffic,
                         label=(f"fig_stability_atlas/{name}/sep={separation:g}"
                                f"/{load_label}/seed={seed}"),
-                    ))
-                    keys.append((name, separation, load))
-    grouped = group_results(keys, executor.run(tasks))
+                    )))
+    grouped = submit(cells, executor)
 
     columns = ("Mbps", "classification", "livelock frac",
                "settling s", "amplitude")
@@ -140,8 +134,8 @@ def run_fig_stability_atlas(config: ExperimentConfig = QUICK,
     for name in scheme_map:
         for separation in separations:
             for load in loads:
-                cells = grouped[(name, separation, load)]
-                reports = [_classify_cell(r) for r in cells]
+                results = grouped[(name, separation, load)]
+                reports = [_classify_cell(r) for r in results]
                 counts: Dict[str, int] = {}
                 for report in reports:
                     counts[report.classification] = (
@@ -157,14 +151,13 @@ def run_fig_stability_atlas(config: ExperimentConfig = QUICK,
                 load_label = "sat" if load is None else f"x={load:g}"
                 label = f"{name}/sep={separation:g}/{load_label}"
                 rows.append(ExperimentRow(label=label, values={
-                    "Mbps": sum(r.total_throughput_mbps for r in cells)
-                            / len(cells),
+                    "Mbps": mean_metric(results, lambda r: r.total_throughput_mbps),
                     "classification": modal,
                     "livelock frac": counts.get("livelock", 0) / len(reports),
-                    "settling s": (sum(settles) / len(settles)
+                    "settling s": (mean_metric(settles, float)
                                    if settles else float("nan")),
-                    "amplitude": sum(r.oscillation_amplitude for r in reports)
-                                 / len(reports),
+                    "amplitude": mean_metric(
+                        reports, lambda r: r.oscillation_amplitude),
                 }))
                 flagged = tuple(
                     seed for seed, report in zip(seeds, reports)

@@ -3,8 +3,8 @@
 The paper's figures are line plots and its tables are simple grids; the
 benchmark harness regenerates the underlying numbers and prints them as
 aligned text tables so the "who wins, by how much, where are the crossovers"
-comparisons can be made directly from the console output (and are captured in
-``bench_output.txt``).
+comparisons can be made directly from the console output (and, on a
+benchmark record run, from ``benchmarks/results/<experiment>.txt``).
 """
 
 from __future__ import annotations

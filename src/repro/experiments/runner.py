@@ -4,11 +4,13 @@ The runners all need the same few operations:
 
 * describe one MAC-scheme-on-topology simulation as a declarative
   :class:`~repro.experiments.campaign.RunTask` (:func:`connected_task`,
-  :func:`hidden_task`) so whole figures execute through a
-  :class:`~repro.experiments.campaign.CampaignExecutor` — in parallel and
-  with result caching (a single cell runs through
-  :func:`~repro.experiments.campaign.execute_task`);
-* average throughput over seeds and express results as plain rows that the
+  :func:`hidden_task`);
+* submit a figure's whole grid of keyed cells as one campaign and get the
+  results back grouped by key (:func:`submit`), so the grid runs through a
+  :class:`~repro.experiments.campaign.CampaignExecutor` in parallel and
+  with result caching;
+* average over seeds (:func:`average_throughput_mbps`,
+  :func:`mean_metric`) and express results as plain rows that the
   reporting module can format.
 
 Keeping this logic in one place guarantees that every figure uses identical
@@ -18,7 +20,9 @@ measurement methodology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -32,9 +36,12 @@ __all__ = [
     "ExperimentRow",
     "ExperimentResult",
     "average_throughput_mbps",
+    "mean_metric",
     "paper_scheme_specs",
+    "extension_scheme_specs",
     "connected_task",
     "hidden_task",
+    "submit",
     "group_results",
     "default_executor",
 ]
@@ -163,11 +170,34 @@ def group_results(
     return grouped
 
 
+def submit(cells: Iterable[Tuple[Hashable, RunTask]],
+           executor: Optional[CampaignExecutor] = None,
+           ) -> Dict[Hashable, List[SimulationResult]]:
+    """Run a figure's ``(key, task)`` cells as one campaign, grouped by key.
+
+    The tasks go to one ``executor.run`` call in the order given (a serial
+    :func:`default_executor` when none is injected), even when there are
+    none, and each key's results come back in that order.
+    """
+    keys, tasks = [], []
+    for key, task in cells:
+        keys.append(key)
+        tasks.append(task)
+    return group_results(keys, (executor or default_executor()).run(tasks))
+
+
 def average_throughput_mbps(results: Sequence[SimulationResult]) -> float:
     """Mean system throughput over repeated runs, in Mbps."""
     if not results:
         raise ValueError("need at least one result")
     return float(np.mean([r.total_throughput_mbps for r in results]))
+
+
+def mean_metric(items: Sequence[object], metric: Callable[[object], float]) -> float:
+    """``sum / len`` of ``metric`` over ``items``, as the extension sweeps
+    average their columns (not :func:`average_throughput_mbps`'s
+    ``np.mean``, which can differ in the last bit)."""
+    return sum(metric(item) for item in items) / len(items)
 
 
 # ----------------------------------------------------------------------
@@ -190,3 +220,11 @@ def paper_scheme_specs(config: ExperimentConfig) -> Dict[str, SchemeSpec]:
             "tora-csma", update_period=config.update_period
         ),
     }
+
+
+def extension_scheme_specs(config: ExperimentConfig) -> Dict[str, SchemeSpec]:
+    """The three schemes the extension sweeps compare: the paper's four
+    without TORA-CSMA, in the same order."""
+    specs = paper_scheme_specs(config)
+    del specs["TORA-CSMA"]
+    return specs

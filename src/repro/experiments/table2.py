@@ -15,12 +15,7 @@ from ..analysis.fairness import weighted_fairness_report
 from ..phy.constants import PhyParameters
 from .campaign import CampaignExecutor, SchemeSpec
 from .config import ExperimentConfig, QUICK
-from .runner import (
-    ExperimentResult,
-    ExperimentRow,
-    connected_task,
-    default_executor,
-)
+from .runner import ExperimentResult, ExperimentRow, connected_task, submit
 
 __all__ = ["run_table2", "PAPER_WEIGHTS"]
 
@@ -36,15 +31,14 @@ def run_table2(
     executor: Optional[CampaignExecutor] = None,
 ) -> ExperimentResult:
     """Reproduce Table II (per-station weighted fairness under wTOP-CSMA)."""
-    executor = executor or default_executor()
     weights = tuple(float(w) for w in weights)
     spec = SchemeSpec.make(
         "wtop-csma", weights=weights, update_period=config.update_period
     )
-    [result] = executor.run([connected_task(
+    [result] = submit([(seed, connected_task(
         spec, len(weights), config, seed, phy=phy,
         label=f"table2/seed={seed}",
-    )])
+    ))], executor)[seed]
     report = weighted_fairness_report(result.per_station_throughput_bps, weights)
 
     rows = [

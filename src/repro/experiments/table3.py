@@ -22,15 +22,15 @@ from typing import Optional, Sequence
 
 from ..phy.constants import PhyParameters
 from ..sim.metrics import SimulationResult
-from .campaign import CampaignExecutor, SchemeSpec
+from .campaign import CampaignExecutor
 from .config import ExperimentConfig, QUICK
 from .runner import (
     ExperimentResult,
     ExperimentRow,
     connected_task,
-    default_executor,
-    group_results,
     hidden_task,
+    paper_scheme_specs,
+    submit,
 )
 
 __all__ = ["run_table3"]
@@ -60,21 +60,15 @@ def run_table3(
     executor: Optional[CampaignExecutor] = None,
 ) -> ExperimentResult:
     """Reproduce Table III (idle slots and throughput, 40 stations)."""
-    executor = executor or default_executor()
     cases = [("Without hidden nodes", None)]
     cases.extend(
         (f"With hidden nodes (case {index + 1})", topo_seed)
         for index, topo_seed in enumerate(hidden_case_seeds)
     )
+    specs = paper_scheme_specs(config)
+    schemes = {name: specs[name] for name in ("IdleSense", "wTOP-CSMA")}
 
-    schemes = {
-        "IdleSense": SchemeSpec.make("idlesense"),
-        "wTOP-CSMA": SchemeSpec.make(
-            "wtop-csma", update_period=config.update_period
-        ),
-    }
-
-    tasks, keys = [], []
+    cells = []
     for case_label, topo_seed in cases:
         for scheme_name, spec in schemes.items():
             label = f"table3/{case_label}/{scheme_name}/seed={seed}"
@@ -87,9 +81,8 @@ def run_table3(
                     spec, num_stations, config.hidden_disc_radius_small,
                     topo_seed, config, seed, phy=phy, label=label,
                 )
-            tasks.append(task)
-            keys.append((case_label, scheme_name))
-    grouped = group_results(keys, executor.run(tasks))
+            cells.append(((case_label, scheme_name), task))
+    grouped = submit(cells, executor)
 
     rows = []
     for case_label, _topo_seed in cases:

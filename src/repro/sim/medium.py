@@ -125,14 +125,6 @@ class Medium:
         """Whether station ``station`` currently senses the channel busy."""
         return self._busy_counts[station] > 0
 
-    def active_transmissions(self) -> Sequence[ActiveTransmission]:
-        return tuple(self._active)
-
-    @property
-    def active_data_count(self) -> int:
-        """Number of data transmissions currently in the air (any location)."""
-        return self._active_data_count
-
     # ------------------------------------------------------------------
     # Channel occupancy statistics (system level, used by Table III)
     # ------------------------------------------------------------------

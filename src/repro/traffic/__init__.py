@@ -352,41 +352,6 @@ class ArrivalProcess:
             payload["retry_limit"] = self.retry_limit
         return payload
 
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "ArrivalProcess":
-        kind = payload["kind"]
-        retry_limit = payload.get("retry_limit")
-        if kind == "saturated":
-            return cls.saturated(retry_limit=retry_limit)
-        if kind == "window":
-            return cls.window_limited(
-                window=payload["window"],
-                flow_frames=payload.get("flow_frames"),
-                queue_limit=payload.get("queue_limit"),
-                retry_limit=retry_limit,
-            )
-        if kind == "incast":
-            return cls.incast(
-                burst_frames=payload["burst_frames"],
-                epoch_s=payload["epoch_s"],
-                queue_limit=payload.get("queue_limit", DEFAULT_QUEUE_LIMIT),
-                retry_limit=retry_limit,
-            )
-        kwargs = dict(
-            rate_fps=payload["rate_fps"],
-            queue_limit=payload.get("queue_limit", DEFAULT_QUEUE_LIMIT),
-            retry_limit=retry_limit,
-            downlink=bool(payload.get("downlink", False)),
-        )
-        if kind == "on-off":
-            return cls.on_off(on_mean_s=payload["on_mean_s"],
-                              off_mean_s=payload["off_mean_s"], **kwargs)
-        if kind == "poisson":
-            return cls.poisson(**kwargs)
-        if kind == "cbr":
-            return cls.cbr(**kwargs)
-        raise ValueError(f"unknown traffic kind '{kind}'")
-
 
 class ArrivalStream:
     """Scalar per-station arrival-time stream (slotted / event simulators).

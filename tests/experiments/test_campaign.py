@@ -11,6 +11,8 @@ The load-bearing guarantees:
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.experiments.campaign import (
     result_to_dict,
 )
 from repro.experiments.campaign import executor as executor_module
+from repro.experiments.campaign.cache import _HOST_TAG
 from repro.mac.schemes import REQUIRED, SCHEME_KINDS
 from repro.phy.constants import PhyParameters
 from repro.testing import FaultPlan, FaultRule
@@ -650,6 +653,32 @@ class TestCampaignCache:
         assert executor.stats.cached == 0
         assert len(cache) == 1
         assert executor.stats.cache_corrupt == 0
+
+    def test_dead_writers_temporary_file_is_removed(self, tmp_path):
+        """Opening a cache deletes the temporary a killed writer on this
+        host left behind; a live writer's, another host's, an untagged one
+        and every entry stay."""
+        task = _quick_task(simulator="slotted")
+        cache = ResultCache(tmp_path)
+        cache.store(task, execute_task(task))
+        writer = subprocess.Popen([sys.executable, "-c", "pass"])
+        writer.wait()
+        prefix = f".{task.task_key()[:12]}"
+        dead = tmp_path / f"{prefix}-{_HOST_TAG}-{writer.pid}-a1b2c3.tmp"
+        kept = [
+            tmp_path / f"{prefix}-{_HOST_TAG}-{os.getpid()}-d4e5f6.tmp",
+            tmp_path / f"{prefix}-0therh0st-{writer.pid}-a1b2c3.tmp",
+            tmp_path / f"{prefix}-z04vez40.tmp",
+        ]
+        for path in [dead, *kept]:
+            path.write_text("{}", encoding="utf-8")
+        entries = sorted(tmp_path.glob("*.json"))
+
+        ResultCache(tmp_path)
+        assert not dead.exists()
+        assert all(path.exists() for path in kept)
+        assert sorted(tmp_path.glob("*.json")) == entries
+        assert len(cache) == 1
 
     def test_empty_entry_is_quarantined_and_resimulated(self, tmp_path):
         """A zero-length entry (what a crash can leave of an entry renamed

@@ -145,6 +145,31 @@ class TestCacheFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestValueChecks:
+    """The config, executor and probe constructors check the flag values;
+    the CLI reports their refusal as a usage error, before it opens the
+    trace file."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--load", "0"], ["--load", "nan"], ["--load", "inf"],
+        ["--queue-limit", "0"], ["--retry-limit", "0"],
+        ["--task-timeout", "0"], ["--task-timeout", "nan"],
+        ["--task-timeout", "inf"], ["--task-retries", "-1"],
+        ["--retry-backoff", "-1"], ["--retry-backoff", "nan"],
+        ["--retry-backoff", "inf"],
+        ["--probe-interval", "0"], ["--probe-interval", "nan"],
+    ], ids=" ".join)
+    def test_bad_value_exits_2_and_leaves_the_trace_file(
+            self, flags, tmp_path, capsys):
+        trace = tmp_path / "run.jsonl"
+        trace.write_text("earlier run\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig12", "--trace", str(trace)] + flags)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert trace.read_text(encoding="utf-8") == "earlier run\n"
+
+
 class TestMain:
     def test_list_prints_all_ids(self, capsys):
         assert main(["--list"]) == 0

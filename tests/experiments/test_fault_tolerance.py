@@ -183,6 +183,13 @@ class TestRetries:
             CampaignExecutor(task_timeout_s=0)
         with pytest.raises(ValueError):
             CampaignExecutor(retry_backoff_s=-0.5)
+        # A NaN backoff would hang the campaign (its unit is never
+        # released) and a NaN timeout would never expire.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="task_timeout_s"):
+                CampaignExecutor(task_timeout_s=value)
+            with pytest.raises(ValueError, match="retry_backoff_s"):
+                CampaignExecutor(retry_backoff_s=value)
 
 
 class TestCrashRecovery:

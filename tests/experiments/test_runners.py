@@ -18,11 +18,12 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.campaign import execute_task
+from repro.experiments.campaign import RunTask, SchemeSpec, TopologySpec, execute_task
 from repro.experiments.runner import (
     average_throughput_mbps,
     connected_task,
     paper_scheme_specs,
+    submit,
 )
 
 
@@ -48,6 +49,26 @@ class TestRunnerHelpers:
         assert avg <= max(r.total_throughput_mbps for r in results)
         with pytest.raises(ValueError):
             average_throughput_mbps([])
+
+    def test_submit_makes_one_run_call_and_groups_by_key(self):
+        calls = []
+
+        class Recorder:
+            def run(self, tasks):
+                calls.append(list(tasks))
+                return [task.seed for task in tasks]
+
+        tasks = [
+            RunTask(scheme=SchemeSpec.make("standard-802.11"),
+                    topology=TopologySpec.connected(2), seed=seed, duration=1.0)
+            for seed in (1, 2, 3)
+        ]
+        grouped = submit(zip(("a", "b", "a"), tasks), Recorder())
+        assert grouped == {"a": [1, 3], "b": [2]}
+        assert calls == [tasks]
+        # A runner with nothing to simulate still makes its one call.
+        assert submit([], Recorder()) == {}
+        assert calls[-1] == []
 
 
 class TestAnalyticalRunners:

@@ -1,5 +1,6 @@
 """Unit tests for the traffic subsystem (repro.traffic)."""
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.traffic import (
     ArrivalStream,
     BatchedArrivals,
     FrameQueue,
+    TRAFFIC_KINDS,
     saturation_frame_rate,
     station_arrival_rng,
 )
@@ -31,14 +33,38 @@ class TestArrivalProcess:
         spec = ArrivalProcess.on_off(100.0, on_mean_s=0.1, off_mean_s=0.3)
         assert spec.mean_rate_fps == pytest.approx(25.0)
 
-    def test_json_round_trip(self):
-        for spec in (
+    def test_to_json_tells_every_workload_apart(self):
+        """``to_json`` feeds the task key, so two different workloads must
+        never share a payload (and with it a cache entry)."""
+        workloads = [
             ArrivalProcess.saturated(),
+            ArrivalProcess.saturated(retry_limit=7),
+            ArrivalProcess.poisson(50.0),
+            ArrivalProcess.poisson(60.0),
             ArrivalProcess.poisson(50.0, queue_limit=7),
-            ArrivalProcess.cbr(10.0),
-            ArrivalProcess.on_off(40.0, on_mean_s=0.2, off_mean_s=0.1),
-        ):
-            assert ArrivalProcess.from_json(spec.to_json()) == spec
+            ArrivalProcess.poisson(50.0, retry_limit=7),
+            ArrivalProcess.poisson(50.0, downlink=True),
+            ArrivalProcess.cbr(50.0),
+            ArrivalProcess.cbr(50.0, retry_limit=3, downlink=True),
+            ArrivalProcess.on_off(50.0, on_mean_s=0.2, off_mean_s=0.1),
+            ArrivalProcess.on_off(50.0, on_mean_s=0.1, off_mean_s=0.2),
+            ArrivalProcess.on_off(50.0, on_mean_s=0.2, off_mean_s=0.1,
+                                  downlink=True),
+            ArrivalProcess.window_limited(4),
+            ArrivalProcess.window_limited(8),
+            ArrivalProcess.window_limited(4, flow_frames=200),
+            ArrivalProcess.window_limited(4, queue_limit=16),
+            ArrivalProcess.window_limited(4, retry_limit=7),
+            ArrivalProcess.incast(32, 0.25),
+            ArrivalProcess.incast(16, 0.25),
+            ArrivalProcess.incast(32, 0.5),
+            ArrivalProcess.incast(32, 0.25, queue_limit=8),
+            ArrivalProcess.incast(32, 0.25, retry_limit=7),
+        ]
+        assert {w.kind for w in workloads} == set(TRAFFIC_KINDS)
+        assert len(set(workloads)) == len(workloads)
+        payloads = {json.dumps(w.to_json(), sort_keys=True) for w in workloads}
+        assert len(payloads) == len(workloads)
 
     def test_validation(self):
         with pytest.raises(ValueError):

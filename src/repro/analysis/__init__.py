@@ -1,5 +1,14 @@
 """Analytical models and metrics: Bianchi DCF, p-persistent CSMA, RandomReset
-fixed points, quasi-concavity checks and fairness indices."""
+fixed points, quasi-concavity checks and fairness indices.
+
+The five functions that solve a closed form (``solve_dcf_fixed_point``,
+``optimal_attempt_probability``, ``solve_attempt_probability``,
+``equivalent_randomreset`` and ``RandomResetModel.optimal_reset``) import
+``scipy.optimize`` where they call it, not at module scope. Every campaign
+process imports this package, but the simulators, the controllers and most
+experiments never solve a closed form, and loading scipy would more than
+double such a process's start-up time and memory.
+"""
 
 from .bianchi import (
     BianchiModel,

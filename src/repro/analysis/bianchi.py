@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..phy.constants import PhyParameters
 from .persistent import slot_probabilities
@@ -83,6 +82,8 @@ def solve_dcf_fixed_point(num_stations: int, cw_min: int, num_stages: int,
         ``c(tau)`` is increasing in ``tau``, so the root of
         ``tau(c(t)) - t`` is unique; we bracket it on [0, 1].
     """
+    from scipy import optimize
+
     if num_stations < 1:
         raise ValueError("num_stations must be at least 1")
 

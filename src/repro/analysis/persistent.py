@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..phy.constants import PhyParameters
 
@@ -161,6 +160,8 @@ def optimal_attempt_probability(num_stations: int,
     Theorem 2 shows ``S(p, W)`` is strictly quasi-concave on (0, 1), so a
     bounded scalar search finds the unique maximum.
     """
+    from scipy import optimize
+
     phy = phy or PhyParameters()
     if weights is None:
         if num_stations < 1:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..phy.constants import PhyParameters
 from .persistent import slot_probabilities
@@ -132,6 +131,8 @@ def solve_attempt_probability(reset_distribution: Sequence[float], num_stations:
     intersection is unique (paper, citing [1]), so a bracketed root search on
     ``tau`` suffices.
     """
+    from scipy import optimize
+
     if num_stations < 1:
         raise ValueError("num_stations must be at least 1")
 
@@ -200,6 +201,8 @@ def equivalent_randomreset(reset_distribution: Sequence[float], num_stations: in
     monotonically in ``p0`` for each ``j``, and consecutive ``j`` ranges
     overlap.
     """
+    from scipy import optimize
+
     q = np.asarray(reset_distribution, dtype=float)
     num_stages = q.size - 1
     target_tau, _ = solve_attempt_probability(q, num_stations, cw_min)
@@ -270,6 +273,8 @@ class RandomResetModel:
 
     def optimal_reset(self, stage: int) -> Tuple[float, float]:
         """Best ``p0`` (and its throughput) for a fixed ``j`` by scalar search."""
+        from scipy import optimize
+
         def negative(p0: float) -> float:
             return -self.throughput(stage, p0)
 

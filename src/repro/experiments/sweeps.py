@@ -202,7 +202,7 @@ def run_fig2(
         "Throughput (Mbps) of p-persistent CSMA vs log(attempt probability), "
         "fully connected network",
         "fig2", _ATTEMPT_PROBABILITY,
-        tuple(probabilities or default_probability_grid()),
+        default_probability_grid() if probabilities is None else tuple(probabilities),
         node_counts, simulate, config, phy, executor,
     )
 
@@ -219,7 +219,7 @@ def run_fig13(
     """Reproduce Figure 13 (RandomReset p0 sweep, fully connected)."""
     return _connected_sweep(
         "Figure 13",
-        "Throughput (Mbps) of RandomReset(0; p0) vs reset probability, "
+        f"Throughput (Mbps) of RandomReset({stage}; p0) vs reset probability, "
         "fully connected network",
         "fig13", _reset_probability(stage), reset_probabilities,
         node_counts, simulate, config, phy, executor,
@@ -244,7 +244,7 @@ def run_fig4(
         "Throughput (Mbps) of p-persistent CSMA vs log(attempt probability) "
         "with hidden nodes",
         "fig4", _ATTEMPT_PROBABILITY,
-        tuple(probabilities or default_probability_grid(9)),
+        default_probability_grid(9) if probabilities is None else tuple(probabilities),
         node_counts, topology_seeds, config, phy, executor,
     )
 
@@ -262,7 +262,7 @@ def run_fig5(
     return _hidden_sweep(
         "Figure 5",
         "Throughput (Mbps) of RandomReset CSMA vs reset probability p0 "
-        "with hidden nodes (j=0)",
+        f"with hidden nodes (j={stage})",
         "fig5", _reset_probability(stage), reset_probabilities,
         node_counts, topology_seeds, config, phy, executor,
     )

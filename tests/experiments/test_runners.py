@@ -5,15 +5,19 @@ the cheap qualitative properties, not the paper's quantitative shapes (the
 benchmark harness does that with bigger budgets).
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
     EXPERIMENT_REGISTRY,
+    QUICK,
     format_result,
     run_fig12,
     run_fig13,
     run_fig2,
     run_fig3,
+    run_fig4,
+    run_fig5,
     run_fig8_9,
     run_table1,
     run_table2,
@@ -25,6 +29,7 @@ from repro.experiments.runner import (
     paper_scheme_specs,
     submit,
 )
+from test_figure_digests import StubExecutor
 
 
 class TestRunnerHelpers:
@@ -99,6 +104,31 @@ class TestAnalyticalRunners:
         result = run_fig13(tiny_config, simulate=False, node_counts=(20,),
                            reset_probabilities=(0.0, 0.25, 0.5, 0.75, 1.0))
         assert result.metadata["quasi_concave"]["analytic N=20"] is True
+
+
+class TestSweepArguments:
+    GRID = np.exp(np.linspace(-8.0, -3.0, 5))
+
+    def test_fig2_takes_a_numpy_probability_grid(self):
+        from_array = run_fig2(QUICK, probabilities=self.GRID, simulate=False)
+        from_tuple = run_fig2(QUICK, probabilities=tuple(self.GRID), simulate=False)
+        assert from_array.rows == from_tuple.rows
+        assert from_array.metadata == from_tuple.metadata
+
+    def test_fig4_takes_a_numpy_probability_grid(self):
+        runs = []
+        for probabilities in (self.GRID, tuple(self.GRID)):
+            executor = StubExecutor()
+            result = run_fig4(QUICK, probabilities=probabilities, executor=executor)
+            runs.append((executor.submitted, result.rows, result.metadata))
+        assert runs[0] == runs[1]
+
+    def test_p0_sweeps_describe_their_stage(self):
+        fig13 = run_fig13(QUICK, stage=2, simulate=False)
+        fig5 = run_fig5(QUICK, stage=2, executor=StubExecutor())
+        assert "RandomReset(2; p0)" in fig13.description
+        assert "(j=2)" in fig5.description
+        assert fig13.metadata["stage"] == fig5.metadata["stage"] == 2
 
 
 class TestSimulationRunners:

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -113,12 +114,57 @@ class TestImports:
                   "    return None\n")
         assert _unused_imports(source) == ["math"]
 
-    def test_importing_repro_experiments_loads_no_networkx(self):
-        """The topology model is two radii; it needs no graph library."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        probe = "import sys, repro.experiments; print('networkx' in sys.modules)"
-        completed = subprocess.run([sys.executable, "-c", probe], env=env,
-                                   capture_output=True, text=True, timeout=120)
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.strip() == "False"
+    @pytest.mark.parametrize("library", ["networkx", "scipy"])
+    def test_importing_repro_experiments_loads_no(self, library):
+        """The topology model is two radii, so it needs no graph library,
+        and scipy is loaded only where a closed form is solved."""
+        probe = ("import sys, repro.experiments, repro.experiments.__main__, "
+                 f"repro.telemetry.report; print({library!r} in sys.modules)")
+        assert _run_python(probe) == "False"
+
+    def test_a_campaign_on_every_backend_runs_without_scipy(self):
+        probe = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            from repro.analysis import dcf_saturation_throughput
+            from repro.experiments.campaign import (
+                CampaignExecutor, RunTask, SchemeSpec, TopologySpec,
+            )
+            from repro.traffic import ArrivalProcess
+
+            def task(**overrides):
+                base = dict(scheme=SchemeSpec.make("idlesense"),
+                            topology=TopologySpec.connected(8),
+                            seed=1, duration=0.4, warmup=0.5)
+                base.update(overrides)
+                return RunTask(**base)
+
+            executor = CampaignExecutor(jobs=2)
+            results = executor.run([
+                task(scheme=SchemeSpec.make("standard-802.11")),
+                task(topology=TopologySpec.hidden_disc(8, 16.0, 1),
+                     traffic=ArrivalProcess.poisson(100.0)),
+                task(simulator="slotted", seed=2),
+                task(simulator="event", seed=3),
+            ])
+            print(executor.last_run_stats.executed)
+            print(*(r.extra.get("backend", r.extra["simulator"]) for r in results))
+            try:
+                dcf_saturation_throughput(10)
+            except ImportError:
+                print("the closed form needs scipy")
+        """)
+        assert _run_python(probe).splitlines() == [
+            "4", "batched conflict-matrix slotted event-driven",
+            "the closed form needs scipy",
+        ]
+
+
+def _run_python(source):
+    """Run ``source`` in a fresh interpreter on this tree; return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run([sys.executable, "-c", source], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout.strip()
